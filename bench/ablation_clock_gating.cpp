@@ -7,8 +7,8 @@
 #include "fpga/xpe_tables.hpp"
 #include "netbase/table_gen.hpp"
 #include "netbase/traffic.hpp"
-#include "pipeline/energy.hpp"
 #include "pipeline/router.hpp"
+#include "power/activity_model.hpp"
 #include "trie/memory_layout.hpp"
 
 int main() {
@@ -28,12 +28,13 @@ int main() {
                                    trie::MappingPolicy::kOneLevelPerStage);
   const trie::StageMemory memory = trie::stage_memory(
       trie::occupancy(stats, mapping), trie::NodeEncoding{}, 1);
-  std::vector<std::uint64_t> stage_bits;
+  power::EngineSpec engine;
   for (std::size_t s = 0; s < kStages; ++s) {
-    stage_bits.push_back(memory.stage_bits(s));
+    engine.stage_bits.push_back(memory.stage_bits(s));
   }
   const fpga::StageBramPlan plan =
-      fpga::plan_stage_bram(stage_bits, fpga::BramPolicy::kMixed);
+      fpga::plan_stage_bram(engine.stage_bits, fpga::BramPolicy::kMixed);
+  const power::ActivityModel model;
 
   SeriesTable out(
       "Ablation - dynamic power vs duty cycle (simulated vs analytical, mW)",
@@ -51,18 +52,26 @@ int main() {
     const pipeline::SimulationResult sim =
         run_trace(router, traffic.generate(7));
 
-    const pipeline::EnginePower measured = pipeline::measure_engine_power(
-        router.engine(0).activity(), plan, fpga::SpeedGrade::kMinus2,
-        kFreqMhz);
+    const power::ActivityCounters activity = router.activity();
+    power::ModelContext ctx;
+    ctx.engines = std::span<const power::EngineSpec>(&engine, 1);
+    ctx.vn_count = 1;
+    ctx.op.grade = fpga::SpeedGrade::kMinus2;
+    ctx.op.bram_policy = fpga::BramPolicy::kMixed;
+    ctx.op.freq_mhz = kFreqMhz;
+    ctx.activity = &activity;
+    // A gated stage charges logic on busy cycles and BRAM only on reads.
+    const power::ActivityPower measured = model.estimate(ctx);
+    const units::Watts simulated = measured.logic_w + measured.memory_gated_w;
     units::Watts full_power;  // all stages clocked every cycle
     full_power += fpga::XpeTables::logic_power_w(fpga::SpeedGrade::kMinus2,
                                                  kStages, kFreqMhz);
     full_power += plan.total.power_w(fpga::SpeedGrade::kMinus2, kFreqMhz);
     // Analytical µ-weighting uses the actual achieved utilization (the
     // simulated trace includes ramp-in/drain cycles).
-    const double util = router.engine(0).activity().mean_stage_utilization();
+    const double util = activity.utilization(0);
     out.add_point(duty,
-                  {units::to_milliwatts(measured.dynamic_w()).value(),
+                  {units::to_milliwatts(simulated).value(),
                    units::to_milliwatts(full_power * util).value(),
                    units::to_milliwatts(full_power).value()});
   }

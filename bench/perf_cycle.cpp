@@ -75,21 +75,6 @@ power::EngineSpec engine_spec_of(const trie::TrieStats& stats,
   return spec;
 }
 
-/// The utilization the run actually exhibited (per-VN busy share of the
-/// lookup stages) — the µ the operating point reports to the model.
-std::vector<double> measured_mu(const power::ActivityCounters& activity) {
-  const std::size_t stages = activity.stage_count();
-  std::vector<double> mu(activity.vn_count(), 0.0);
-  if (activity.cycles == 0 || stages == 0) return mu;
-  for (std::size_t v = 0; v < activity.vn_count(); ++v) {
-    std::uint64_t busy = 0;
-    for (std::size_t s = 0; s < stages; ++s) busy += activity.busy(v, s);
-    mu[v] = static_cast<double>(busy) / (static_cast<double>(stages) *
-                                         static_cast<double>(activity.cycles));
-  }
-  return mu;
-}
-
 struct Row {
   net::TraceShape shape = net::TraceShape::kUniform;
   VcPolicy policy = VcPolicy::kVsStatic;
@@ -199,7 +184,7 @@ int main(int argc, char** argv) {
         ctx.op.grade = kGrade;
         ctx.op.bram_policy = kBramPolicy;
         ctx.op.freq_mhz = kFreqMhz;
-        ctx.op.utilization = measured_mu(result.activity);
+        ctx.op.utilization = result.activity.utilization();
         ctx.activity = &result.activity;
         const power::ActivityPower power = act_model.estimate(ctx);
 

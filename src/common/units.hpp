@@ -21,7 +21,7 @@
 // are allowed, cross-unit arithmetic exists only where dimensionally
 // meaningful (e.g. Picojoules / Cycles * Megahertz -> Microwatts), and
 // `.value()` is the escape hatch back to the raw representation for I/O and
-// for suffix-convention intermediates. tools/check_units.py enforces that
+// for suffix-convention intermediates. vrlint's `units` check enforces that
 // the typed layers (src/power, src/core, src/fpga, src/pipeline,
 // src/multipipe, src/tcam) do not reintroduce naked-double power or
 // frequency parameters, members or return types, and that `.cpp` locals

@@ -4,7 +4,6 @@
 #include <string>
 
 #include "common/error.hpp"
-#include "dataplane/full_router.hpp"
 #include "obs/registry.hpp"
 
 namespace vr::dataplane::cycle {
@@ -343,7 +342,9 @@ CycleResult CycleRouter::finish() {
     activity_.arbiter_comparisons[vn] +=
         result.scheduler.arbiter_comparisons_per_vn[vn];
   }
-  fold_engine_activity(*lookup_, &activity_);
+  power::ActivityCounters lookup_activity = lookup_->activity();
+  activity_.stage_busy = std::move(lookup_activity.stage_busy);
+  activity_.stage_reads = std::move(lookup_activity.stage_reads);
   result.activity = std::move(activity_);
   result.vc_occupancy = vc_occupancy_hist_.snapshot();
   result.source_queue_depth = source_depth_hist_.snapshot();

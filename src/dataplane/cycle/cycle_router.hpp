@@ -131,8 +131,9 @@ class CycleRouter {
   }
   [[nodiscard]] const CycleConfig& config() const noexcept { return config_; }
 
-  /// Folds engine activity + scheduler arbitration into the run's
-  /// ActivityCounters and assembles the result. Call once, after drain.
+  /// Copies the lookup router's stage activity and adds the scheduler's
+  /// arbitration into the run's ActivityCounters, then assembles the
+  /// result. Call once, after drain.
   [[nodiscard]] CycleResult finish();
 
  private:

@@ -54,26 +54,6 @@ void publish_run_metrics(const FullRouterResult& result) {
 
 }  // namespace
 
-void fold_engine_activity(const pipeline::VirtualRouter& lookup,
-                          power::ActivityCounters* activity) {
-  const std::size_t stages = activity->stage_count();
-  for (std::size_t e = 0; e < lookup.engine_count(); ++e) {
-    const pipeline::ActivityCounters& eng = lookup.engine(e).activity();
-    VR_REQUIRE(eng.stage_busy.size() == stages,
-               "engines must share the activity record's stage count");
-    for (std::size_t lv = 0; lv < eng.vn_count; ++lv) {
-      const std::size_t global_vn =
-          (lookup.engine_count() == lookup.vn_count() && eng.vn_count == 1)
-              ? e
-              : lv;
-      for (std::size_t s = 0; s < stages; ++s) {
-        activity->busy(global_vn, s) += eng.vn_stage_busy[lv * stages + s];
-        activity->reads(global_vn, s) += eng.vn_stage_reads[lv * stages + s];
-      }
-    }
-  }
-}
-
 std::vector<double> FullRouterResult::goodput_shares() const {
   std::vector<double> shares(scheduler.bytes_per_vn.size(), 0.0);
   std::uint64_t total = 0;
@@ -206,7 +186,9 @@ FullRouterResult run_full_router(pipeline::VirtualRouter& lookup,
   activity.cycles = cycle;
   activity.arbiter_decisions = result.scheduler.arbiter_grants_per_vn;
   activity.arbiter_comparisons = result.scheduler.arbiter_comparisons_per_vn;
-  fold_engine_activity(lookup, &activity);
+  power::ActivityCounters lookup_activity = lookup.activity();
+  activity.stage_busy = std::move(lookup_activity.stage_busy);
+  activity.stage_reads = std::move(lookup_activity.stage_reads);
   result.activity = std::move(activity);
   result.queue_depths = scheduler.queue_depth_histogram();
   result.egress_wait = scheduler.egress_wait_histogram();

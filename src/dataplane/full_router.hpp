@@ -54,12 +54,4 @@ struct FullRouterResult {
     pipeline::VirtualRouter& lookup, std::vector<IngressFrame> frames,
     const FullRouterConfig& config);
 
-/// Folds the engines' per-(VN, stage) matrices into `activity`, mapping
-/// engine-local VNIDs back to global ones: separate arrangements rewrite
-/// every packet to local VNID 0 inside the engine that serves global VN e,
-/// while the merged engine sees real VNIDs. Shared by the per-packet
-/// driver above and the cycle-level driver (dataplane/cycle/).
-void fold_engine_activity(const pipeline::VirtualRouter& lookup,
-                          power::ActivityCounters* activity);
-
 }  // namespace vr::dataplane

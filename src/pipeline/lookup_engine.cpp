@@ -5,29 +5,10 @@
 
 namespace vr::pipeline {
 
-double ActivityCounters::mean_stage_utilization() const noexcept {
-  if (cycles == 0 || stage_busy.empty()) return 0.0;
-  double sum = 0.0;
-  for (const std::uint64_t busy : stage_busy) {
-    sum += static_cast<double>(busy) / static_cast<double>(cycles);
-  }
-  return sum / static_cast<double>(stage_busy.size());
-}
-
-double ActivityCounters::vn_utilization(std::size_t vn) const noexcept {
-  const std::size_t stages = stage_busy.size();
-  if (cycles == 0 || stages == 0 || vn >= vn_count) return 0.0;
-  double sum = 0.0;
-  for (std::size_t s = 0; s < stages; ++s) {
-    sum += static_cast<double>(vn_stage_busy[vn * stages + s]) /
-           static_cast<double>(cycles);
-  }
-  return sum / static_cast<double>(stages);
-}
-
 LookupEngine::LookupEngine(TrieView trie, std::size_t stage_count)
     : trie_(trie), slots_(stage_count) {
   VR_REQUIRE(stage_count >= 1, "engine needs at least one stage");
+  activity_ = power::ActivityCounters(trie_.vn_count(), stage_count);
   if (trie_.level_count() > stage_count) {
     throw CapacityError("trie of " + std::to_string(trie_.level_count()) +
                         " levels does not fit a " +
@@ -45,11 +26,6 @@ LookupEngine::LookupEngine(TrieView trie, std::size_t stage_count)
                         " lookup of a " + std::to_string(kAddressBits) +
                         "-bit address can have");
   }
-  counters_.stage_busy.assign(stage_count, 0);
-  counters_.stage_reads.assign(stage_count, 0);
-  counters_.vn_count = trie_.vn_count();
-  counters_.vn_stage_busy.assign(counters_.vn_count * stage_count, 0);
-  counters_.vn_stage_reads.assign(counters_.vn_count * stage_count, 0);
 }
 
 bool LookupEngine::offer(const net::Packet& packet) {
@@ -57,55 +33,54 @@ bool LookupEngine::offer(const net::Packet& packet) {
   // rejected even when the engine is busy.
   VR_REQUIRE(packet.vnid < trie_.vn_count(), "packet VNID out of range");
   if (input_.has_value()) {
-    ++counters_.offers_rejected;
+    ++offers_rejected_;
     return false;
   }
   input_ = packet;
-  ++counters_.packets_in;
+  ++packets_in_;
   return true;
 }
 
 void LookupEngine::tick(std::vector<LookupResult>* out) {
   VR_REQUIRE(out != nullptr, "tick needs an output sink");
   // Process stages back-to-front so each packet advances exactly one stage
-  // per cycle.
+  // per cycle. Activity lands in the ledger's VN-major matrices at
+  // [vnid * stages + s].
   const std::size_t stages = slots_.size();
   // Stage `stages-1` completes this cycle.
   {
     Slot& last = slots_[stages - 1];
     if (last.valid) {
+      const std::size_t cell = last.packet.vnid * stages + stages - 1;
       // Perform the final stage's work first (it may still need its read).
       if (last.node != trie::kNullNode) {
-        ++counters_.stage_reads[stages - 1];
-        ++counters_.vn_stage_reads[last.packet.vnid * stages + stages - 1];
+        ++activity_.stage_reads[cell];
         const TrieView::Step step =
             trie_.step(last.node, last.packet.addr.value(), stages - 1,
                        last.packet.vnid);
         if (step.hop != net::kNoRoute) last.best = step.hop;
       }
-      ++counters_.stage_busy[stages - 1];
-      ++counters_.vn_stage_busy[last.packet.vnid * stages + stages - 1];
+      ++activity_.stage_busy[cell];
       LookupResult result;
-      result.exit_cycle = counters_.cycles + 1;
+      result.exit_cycle = activity_.cycles + 1;
       result.packet = last.packet;
       result.next_hop = last.best == net::kNoRoute
                             ? std::nullopt
                             : std::optional<net::NextHop>(last.best);
       out->push_back(result);
-      ++counters_.packets_out;
+      ++packets_out_;
       last.valid = false;
     }
   }
   for (std::size_t s = stages - 1; s-- > 0;) {
     Slot& slot = slots_[s];
     if (!slot.valid) continue;
-    ++counters_.stage_busy[s];
-    ++counters_.vn_stage_busy[slot.packet.vnid * stages + s];
+    const std::size_t cell = slot.packet.vnid * stages + s;
+    ++activity_.stage_busy[cell];
     // Advance in place: do this stage's read/branch directly on the slot,
     // then move it forward (no full copy-then-overwrite per stage).
     if (slot.node != trie::kNullNode) {
-      ++counters_.stage_reads[s];
-      ++counters_.vn_stage_reads[slot.packet.vnid * stages + s];
+      ++activity_.stage_reads[cell];
       const TrieView::Step step = trie_.step(
           slot.node, slot.packet.addr.value(), s, slot.packet.vnid);
       if (step.hop != net::kNoRoute) slot.best = step.hop;
@@ -122,7 +97,7 @@ void LookupEngine::tick(std::vector<LookupResult>* out) {
     first.best = net::kNoRoute;
     input_.reset();
   }
-  ++counters_.cycles;
+  ++activity_.cycles;
 }
 
 bool LookupEngine::drained() const noexcept {

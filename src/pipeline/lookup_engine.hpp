@@ -19,6 +19,7 @@
 
 #include "netbase/traffic.hpp"
 #include "pipeline/trie_view.hpp"
+#include "power/activity.hpp"
 #include "trie/stage_mapping.hpp"
 
 namespace vr::pipeline {
@@ -28,35 +29,6 @@ struct LookupResult {
   std::uint64_t exit_cycle = 0;
   net::Packet packet;
   std::optional<net::NextHop> next_hop;
-};
-
-/// Per-engine activity counters for energy accounting.
-struct ActivityCounters {
-  std::uint64_t cycles = 0;          ///< cycles simulated
-  std::uint64_t packets_in = 0;
-  std::uint64_t packets_out = 0;
-  /// offer() calls refused because the input slot was occupied — the
-  /// engine's backpressure signal (the caller must retry next cycle).
-  std::uint64_t offers_rejected = 0;
-  /// Cycles in which stage s held a valid packet (its registers clocked).
-  std::vector<std::uint64_t> stage_busy;
-  /// Cycles in which stage s performed a memory read.
-  std::vector<std::uint64_t> stage_reads;
-  /// VNs the per-VN matrices below resolve over (0 when the engine predates
-  /// per-VN tracking, e.g. a default-constructed counter in tests).
-  std::size_t vn_count = 0;
-  /// stage_busy resolved per VN, VN-major ([vn * stage_count + s]). Sums
-  /// over VNs equal stage_busy.
-  std::vector<std::uint64_t> vn_stage_busy;
-  /// stage_reads resolved per VN, VN-major.
-  std::vector<std::uint64_t> vn_stage_reads;
-
-  /// Mean fraction of cycles a stage was busy (the measured utilization µ).
-  [[nodiscard]] double mean_stage_utilization() const noexcept;
-
-  /// Fraction of cycles VN `vn`'s packets occupied a stage, averaged over
-  /// stages — the measured per-VN utilization µ_vn.
-  [[nodiscard]] double vn_utilization(std::size_t vn) const noexcept;
 };
 
 class LookupEngine {
@@ -84,13 +56,27 @@ class LookupEngine {
   /// True when no packet is in flight and no input is pending.
   [[nodiscard]] bool drained() const noexcept;
 
-  [[nodiscard]] const ActivityCounters& activity() const noexcept {
-    return counters_;
+  /// The engine's activity ledger: cycles simulated plus per-(VN, stage)
+  /// busy and read cycles under the trie's own VNIDs. Only the cycle and
+  /// stage fields are filled; the per-VN event vectors stay zero.
+  [[nodiscard]] const power::ActivityCounters& activity() const noexcept {
+    return activity_;
+  }
+  [[nodiscard]] std::uint64_t packets_in() const noexcept {
+    return packets_in_;
+  }
+  [[nodiscard]] std::uint64_t packets_out() const noexcept {
+    return packets_out_;
+  }
+  /// offer() calls refused because the input slot was occupied — the
+  /// engine's backpressure signal (the caller must retry next cycle).
+  [[nodiscard]] std::uint64_t offers_rejected() const noexcept {
+    return offers_rejected_;
   }
   [[nodiscard]] std::size_t stage_count() const noexcept {
     return slots_.size();
   }
-  [[nodiscard]] std::uint64_t now() const noexcept { return counters_.cycles; }
+  [[nodiscard]] std::uint64_t now() const noexcept { return activity_.cycles; }
 
  private:
   struct Slot {
@@ -105,7 +91,10 @@ class LookupEngine {
   TrieView trie_;
   std::vector<Slot> slots_;
   std::optional<net::Packet> input_;
-  ActivityCounters counters_;
+  power::ActivityCounters activity_;
+  std::uint64_t packets_in_ = 0;
+  std::uint64_t packets_out_ = 0;
+  std::uint64_t offers_rejected_ = 0;
 };
 
 }  // namespace vr::pipeline

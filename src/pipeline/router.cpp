@@ -20,12 +20,17 @@ void publish_trace_metrics(const VirtualRouter& router,
   std::uint64_t offers_rejected = 0;
   obs::Histogram& occupancy = registry.histogram("pipeline.stage_occupancy");
   for (std::size_t e = 0; e < router.engine_count(); ++e) {
-    const ActivityCounters& activity = router.engine(e).activity();
-    packets_in += activity.packets_in;
-    packets_out += activity.packets_out;
-    offers_rejected += activity.offers_rejected;
+    const LookupEngine& engine = router.engine(e);
+    packets_in += engine.packets_in();
+    packets_out += engine.packets_out();
+    offers_rejected += engine.offers_rejected();
+    const power::ActivityCounters& activity = engine.activity();
     if (activity.cycles == 0) continue;
-    for (const std::uint64_t busy : activity.stage_busy) {
+    for (std::size_t s = 0; s < engine.stage_count(); ++s) {
+      std::uint64_t busy = 0;
+      for (std::size_t v = 0; v < activity.vn_count(); ++v) {
+        busy += activity.busy(v, s);
+      }
       occupancy.observe(static_cast<double>(busy) /
                         static_cast<double>(activity.cycles));
     }
@@ -77,6 +82,23 @@ void SeparateRouter::tick(std::vector<LookupResult>* out) {
   }
 }
 
+power::ActivityCounters SeparateRouter::activity() const {
+  const std::size_t stages = engines_.front().stage_count();
+  power::ActivityCounters ledger(engines_.size(), stages);
+  // The engines tick in lockstep, so any one's clock is the router's.
+  ledger.cycles = engines_.front().now();
+  // Engine e serves global VN e under local VNID 0 (see offer()), so its
+  // single ledger row becomes row e.
+  for (std::size_t e = 0; e < engines_.size(); ++e) {
+    const power::ActivityCounters& local = engines_[e].activity();
+    for (std::size_t s = 0; s < stages; ++s) {
+      ledger.busy(e, s) = local.busy(0, s);
+      ledger.reads(e, s) = local.reads(0, s);
+    }
+  }
+  return ledger;
+}
+
 bool SeparateRouter::drained() const {
   return std::all_of(engines_.begin(), engines_.end(),
                      [](const LookupEngine& e) { return e.drained(); });
@@ -126,8 +148,12 @@ SimulationResult run_trace(VirtualRouter& router,
   sim.cycles = cycle;
   sim.engine_utilization.reserve(router.engine_count());
   for (std::size_t e = 0; e < router.engine_count(); ++e) {
-    sim.engine_utilization.push_back(
-        router.engine(e).activity().mean_stage_utilization());
+    const power::ActivityCounters& activity = router.engine(e).activity();
+    double mu = 0.0;
+    for (std::size_t v = 0; v < activity.vn_count(); ++v) {
+      mu += activity.utilization(v);
+    }
+    sim.engine_utilization.push_back(mu);
   }
   publish_trace_metrics(router, sim);
   return sim;

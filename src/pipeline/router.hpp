@@ -35,6 +35,9 @@ class VirtualRouter {
   [[nodiscard]] virtual std::size_t engine_count() const = 0;
   [[nodiscard]] virtual const LookupEngine& engine(std::size_t i) const = 0;
   [[nodiscard]] virtual std::size_t vn_count() const = 0;
+  /// The lookup stages' activity ledger under global VNIDs: cycles plus
+  /// per-(VN, stage) busy and read cycles, whichever engine served the VN.
+  [[nodiscard]] virtual power::ActivityCounters activity() const = 0;
 };
 
 /// K space-shared engines (NV and VS data planes).
@@ -55,6 +58,7 @@ class SeparateRouter final : public VirtualRouter {
   [[nodiscard]] std::size_t vn_count() const override {
     return engines_.size();
   }
+  [[nodiscard]] power::ActivityCounters activity() const override;
 
  private:
   std::vector<LookupEngine> engines_;
@@ -75,6 +79,9 @@ class MergedRouter final : public VirtualRouter {
   [[nodiscard]] std::size_t vn_count() const override {
     return vn_count_;
   }
+  [[nodiscard]] power::ActivityCounters activity() const override {
+    return engine_.activity();
+  }
 
  private:
   LookupEngine engine_;
@@ -86,7 +93,8 @@ struct SimulationResult {
   std::vector<LookupResult> results;
   std::uint64_t cycles = 0;
   std::size_t max_queue_depth = 0;  ///< worst back-pressure queue length
-  /// Measured utilization per engine (busy-stage fraction).
+  /// Measured utilization µ per engine: the sum of its VNs' µ
+  /// (power::ActivityCounters::utilization).
   std::vector<double> engine_utilization;
 };
 

@@ -19,6 +19,23 @@ ActivityCounters::ActivityCounters(std::size_t vn_count,
   VR_REQUIRE(stage_count >= 1, "activity counters need at least one stage");
 }
 
+double ActivityCounters::utilization(std::size_t vn) const noexcept {
+  const std::size_t stages = stage_count();
+  if (cycles == 0 || stages == 0) return 0.0;
+  std::uint64_t busy_cycles = 0;
+  for (std::size_t s = 0; s < stages; ++s) {
+    busy_cycles += stage_busy[vn * stages + s];
+  }
+  return static_cast<double>(busy_cycles) /
+         (static_cast<double>(stages) * static_cast<double>(cycles));
+}
+
+std::vector<double> ActivityCounters::utilization() const {
+  std::vector<double> mu(vn_count());
+  for (std::size_t v = 0; v < mu.size(); ++v) mu[v] = utilization(v);
+  return mu;
+}
+
 namespace {
 
 void add_vector(std::vector<std::uint64_t>* into,

@@ -4,9 +4,10 @@
 // 2/5); hornet's Orion integration shows the stronger model — count the
 // events a packet actually causes (buffer reads/writes, lookup-stage
 // accesses, crossbar traversals, arbiter decisions, header rewrites) and
-// charge per-event energy. This struct is the contract between the
-// dataplane, which counts, and power::ActivityModel, which charges: pure
-// data, no dependencies above common/, so every layer can link it.
+// charge per-event energy. This struct is the one activity ledger: the
+// lookup pipeline and the dataplane count into it, power::ActivityModel
+// charges it. Pure data, no dependencies above common/, so every layer
+// can link it.
 #pragma once
 
 #include <cstdint>
@@ -15,8 +16,9 @@
 namespace vr::power {
 
 /// Event counts of one end-to-end dataplane run, resolved per virtual
-/// network (and, for the lookup pipeline, per stage). Filled by
-/// dataplane::run_full_router; consumed by power::ActivityModel.
+/// network (and, for the lookup pipeline, per stage). The lookup engines
+/// count stage activity into it, the dataplane drivers the rest;
+/// power::ActivityModel prices it.
 struct ActivityCounters {
   ActivityCounters() = default;
   ActivityCounters(std::size_t vn_count, std::size_t stage_count);
@@ -72,6 +74,14 @@ struct ActivityCounters {
                                     std::size_t stage) const noexcept {
     return stage_reads[vn * stage_count() + stage];
   }
+
+  /// Measured utilization µ of VN `vn`: its busy stage-cycles over all
+  /// stage-cycles of the window, Σ_s busy(vn, s) / (stages × cycles).
+  /// 0 over an empty window.
+  [[nodiscard]] double utilization(std::size_t vn) const noexcept;
+  /// utilization(v) for every VN, indexed by VNID — the µ vector an
+  /// OperatingPoint reports alongside these counters.
+  [[nodiscard]] std::vector<double> utilization() const;
 
   /// Folds another run's counts into this one (element-wise sum; cycles
   /// add, modelling consecutive or sharded windows). Shapes must match.

@@ -42,24 +42,6 @@ EngineSpec engine_spec_of(const trie::TrieStats& stats,
   return spec;
 }
 
-/// The utilization the run actually exhibited: each VN's busy stage-cycles
-/// over the engine's total stage-cycles. This is the µ a perfectly informed
-/// capacity planner would have written down — feeding it to MuModel is what
-/// makes the 10% bound a model-equivalence statement rather than a test of
-/// the traffic generator's accuracy.
-std::vector<double> measured_mu(const ActivityCounters& activity) {
-  const std::size_t stages = activity.stage_count();
-  std::vector<double> mu(activity.vn_count(), 0.0);
-  if (activity.cycles == 0 || stages == 0) return mu;
-  for (std::size_t v = 0; v < activity.vn_count(); ++v) {
-    std::uint64_t busy = 0;
-    for (std::size_t s = 0; s < stages; ++s) busy += activity.busy(v, s);
-    mu[v] = static_cast<double>(busy) /
-            (static_cast<double>(stages) * static_cast<double>(activity.cycles));
-  }
-  return mu;
-}
-
 /// One uniform-trace run of every scheme at VN count `k`, with everything
 /// both backends need to price it.
 struct UniformRun {
@@ -149,7 +131,10 @@ TEST(PowerModelCrossValidation, BackendsAgreeWithinTenPercentPerVn) {
       } else {
         ctx.engines = run.engines;
       }
-      ctx.op = operating_point(measured_mu(activity));
+      // The measured µ is what a perfectly informed capacity planner would
+      // write down: feeding it to MuModel makes the 10% bound a model-
+      // equivalence statement, not a test of the traffic generator.
+      ctx.op = operating_point(activity.utilization());
       ctx.activity = &activity;
 
       const std::vector<units::Watts> mu_w = mu_model.per_vn_dynamic_w(ctx);
@@ -179,7 +164,7 @@ TEST(PowerModelCrossValidation, NvAndVsDynamicTermsAreIdentical) {
   ModelContext ctx;
   ctx.vn_count = 3;
   ctx.engines = run.engines;
-  ctx.op = operating_point(measured_mu(run.separate_activity));
+  ctx.op = operating_point(run.separate_activity.utilization());
   ctx.activity = &run.separate_activity;
   for (const DynamicPowerModel* model :
        {static_cast<const DynamicPowerModel*>(&mu_model),
@@ -305,6 +290,18 @@ TEST(ActivityCountersTest, MergeRejectsShapeMismatch) {
   EXPECT_DEATH(a.merge(b), "shape");
 }
 
+TEST(ActivityCountersTest, UtilizationIsBusyShareOfStageCycles) {
+  ActivityCounters a(2, 4);
+  EXPECT_EQ(a.utilization(0), 0.0);  // empty window
+  a.cycles = 10;
+  a.busy(0, 0) = 10;
+  a.busy(0, 1) = 5;
+  a.busy(0, 2) = 5;
+  EXPECT_DOUBLE_EQ(a.utilization(0), 0.5);
+  EXPECT_EQ(a.utilization(1), 0.0);
+  EXPECT_EQ(a.utilization(), (std::vector<double>{0.5, 0.0}));
+}
+
 TEST(ActivityModelTest, RequiresActivityCounters) {
   const ActivityModel model;
   const UniformRun run = run_uniform(2);
@@ -326,7 +323,7 @@ TEST(ActivityModelTest, GatedMemoryNeverExceedsBusyCharged) {
   ctx.scheme = Scheme::kSeparate;
   ctx.vn_count = 2;
   ctx.engines = run.engines;
-  ctx.op = operating_point(measured_mu(run.separate_activity));
+  ctx.op = operating_point(run.separate_activity.utilization());
   ctx.activity = &run.separate_activity;
   const ActivityPower power = model.estimate(ctx);
   EXPECT_GT(power.memory_w.value(), 0.0);
@@ -334,6 +331,29 @@ TEST(ActivityModelTest, GatedMemoryNeverExceedsBusyCharged) {
   EXPECT_GT(power.overhead_w().value(), 0.0);
   EXPECT_DOUBLE_EQ(power.dynamic_w().value(),
                    power.core_w().value() + power.overhead_w().value());
+}
+
+TEST(ActivityModelTest, ZeroCyclesGiveZeroPower) {
+  const ActivityCounters activity(1, 4);
+  const EngineSpec engine{{100, 100, 100, 100}};
+  ModelContext ctx;
+  ctx.vn_count = 1;
+  ctx.engines = std::span<const EngineSpec>(&engine, 1);
+  ctx.op = operating_point({});
+  ctx.activity = &activity;
+  EXPECT_DOUBLE_EQ(ActivityModel().estimate(ctx).dynamic_w().value(), 0.0);
+}
+
+TEST(ActivityModelTest, MismatchedStageCountsDie) {
+  ActivityCounters activity(1, 4);
+  activity.cycles = 10;
+  const EngineSpec engine{{100, 100}};
+  ModelContext ctx;
+  ctx.vn_count = 1;
+  ctx.engines = std::span<const EngineSpec>(&engine, 1);
+  ctx.op = operating_point({});
+  ctx.activity = &activity;
+  EXPECT_DEATH((void)ActivityModel().estimate(ctx), "stage count");
 }
 
 TEST(ResolveMuTest, EmptyUtilizationMeansUniformShare) {

@@ -1,11 +1,10 @@
-// MUST NOT COMPILE: the pipeline energy meter takes units::Megahertz; a
-// raw double clock must be rejected at the call site.
-#include "pipeline/energy.hpp"
+// MUST NOT COMPILE: ActivityModel prices the pipeline's measured activity
+// at the operating point's clock, a units::Megahertz; a raw double clock
+// must be rejected.
+#include "power/analytical_model.hpp"
 
 int main() {
-  vr::pipeline::ActivityCounters counters;
-  const vr::fpga::StageBramPlan plan;
-  const auto power = vr::pipeline::measure_engine_power(
-      counters, plan, vr::fpga::SpeedGrade::kMinus2, 300.0);
-  return static_cast<int>(power.dynamic_w().value());
+  vr::power::OperatingPoint op;
+  op.freq_mhz = 300.0;
+  return static_cast<int>(op.freq_mhz.value());
 }

@@ -4,7 +4,7 @@
 #include "common/units.hpp"
 #include "fpga/thermal.hpp"
 #include "fpga/xpe_tables.hpp"
-#include "pipeline/energy.hpp"
+#include "power/analytical_model.hpp"
 
 int main() {
   using namespace vr::units;
@@ -15,7 +15,7 @@ int main() {
   const MwPerGbps eff = to_milliwatts(doubled) / gbps;
   const double ratio = doubled / w;  // same-unit ratio is dimensionless
 
-  // The typed fpga/pipeline surface, called the way the fail cases misuse it.
+  // The typed fpga/power surface, called the way the fail cases misuse it.
   const Watts bram = vr::fpga::XpeTables::bram_power_w(
       vr::fpga::BramKind::k36, vr::fpga::SpeedGrade::kMinus2, 1,
       Megahertz{400.0});
@@ -23,15 +23,13 @@ int main() {
       vr::fpga::XpeTables::bram_uw_per_mhz(vr::fpga::BramKind::k18,
                                            vr::fpga::SpeedGrade::kMinus2) *
       Megahertz{400.0};
-  vr::pipeline::ActivityCounters counters;
-  const vr::fpga::StageBramPlan plan;
-  const auto engine = vr::pipeline::measure_engine_power(
-      counters, plan, vr::fpga::SpeedGrade::kMinus2, Megahertz{300.0});
+  vr::power::OperatingPoint op;
+  op.freq_mhz = Megahertz{300.0};
   const auto point = vr::fpga::solve_thermal(Watts{4.5}, Watts{0.25});
   const Nanoseconds cycle = period(Megahertz{250.0});
 
   const double sum = eff.value() + from_coeff.value() + ratio + bram.value() +
-                     coeff_product.value() + engine.dynamic_w().value() +
+                     coeff_product.value() + op.freq_mhz.value() +
                      cycle.value() + (point.within_limits ? 1.0 : 0.0);
   return static_cast<int>(sum) > 1'000'000 ? 1 : 0;
 }

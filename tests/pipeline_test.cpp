@@ -5,9 +5,10 @@
 #include "common/rng.hpp"
 #include "netbase/table_gen.hpp"
 #include "netbase/traffic.hpp"
-#include "pipeline/energy.hpp"
+#include "fpga/xpe_tables.hpp"
 #include "pipeline/lookup_engine.hpp"
 #include "pipeline/router.hpp"
+#include "power/activity_model.hpp"
 #include "trie/memory_layout.hpp"
 
 namespace vr::pipeline {
@@ -62,7 +63,7 @@ TEST(LookupEngineTest, SustainsOnePacketPerCycle) {
   }
   // Full back-to-back throughput: n packets in n + latency cycles.
   EXPECT_LE(cycles, n + kStages + 1);
-  EXPECT_EQ(engine.activity().packets_out, n);
+  EXPECT_EQ(engine.packets_out(), n);
 }
 
 TEST(LookupEngineTest, OfferRefusesSecondPacketSameCycle) {
@@ -126,7 +127,7 @@ TEST(LookupEngineTest, IdleStagesAreClockGated) {
   // One packet through an otherwise idle pipe: each stage busy <= 1 cycle.
   ASSERT_TRUE(engine.offer(Packet{Ipv4(10, 0, 0, 1), 0}));
   for (std::size_t c = 0; c < kStages + 2; ++c) engine.tick(&out);
-  const ActivityCounters& counters = engine.activity();
+  const power::ActivityCounters& counters = engine.activity();
   for (const std::uint64_t busy : counters.stage_busy) {
     EXPECT_LE(busy, 1u);
   }
@@ -152,7 +153,7 @@ TEST(LookupEngineTest, BusyFractionTracksOfferedLoad) {
     }
     engine.tick(&out);
   }
-  EXPECT_NEAR(engine.activity().mean_stage_utilization(), load, 0.03);
+  EXPECT_NEAR(engine.activity().utilization(0), load, 0.03);
 }
 
 TEST(LookupEngineTest, BackpressureAndDrainUnderBurst) {
@@ -196,7 +197,8 @@ TEST(LookupEngineTest, VnidValidatedAgainstTrie) {
 
 // --------------------------------------------------------------- routers --
 
-class RouterFixture : public ::testing::Test {
+template <std::size_t K>
+class RouterSetFixture : public ::testing::Test {
  protected:
   void SetUp() override {
     for (std::uint64_t v = 0; v < kVns; ++v) {
@@ -211,7 +213,7 @@ class RouterFixture : public ::testing::Test {
     for (const auto& t : tables_) table_ptrs_.push_back(&t);
   }
 
-  static constexpr std::size_t kVns = 4;
+  static constexpr std::size_t kVns = K;
   std::vector<RoutingTable> tables_;
   std::vector<UnibitTrie> tries_;
   std::vector<TrieView> views_;
@@ -219,6 +221,8 @@ class RouterFixture : public ::testing::Test {
   std::vector<const RoutingTable*> table_ptrs_;
   std::optional<virt::MergedTrie> merged_;
 };
+
+using RouterFixture = RouterSetFixture<4>;
 
 TEST_F(RouterFixture, SeparateRouterRoutesByVnid) {
   SeparateRouter router(views_, kStages);
@@ -298,8 +302,6 @@ TEST_F(RouterFixture, SeparateRejectsMultiVnTrieViews) {
   EXPECT_DEATH(SeparateRouter(bad, kStages), "single-VN");
 }
 
-// ---------------------------------------------------------------- energy --
-
 TEST_F(RouterFixture, MeasuredPowerMatchesAnalyticalAtUniformLoad) {
   // The reconciliation the paper's µ-weighted model relies on: simulated
   // activity-based power equals coefficient × measured utilization.
@@ -310,59 +312,101 @@ TEST_F(RouterFixture, MeasuredPowerMatchesAnalyticalAtUniformLoad) {
   const net::TrafficGenerator gen(config, table_ptrs_);
   const SimulationResult sim = run_trace(router, gen.generate(16));
 
-  // Build the stage BRAM plan of the merged engine.
+  // Stage memory of the merged engine.
   const trie::TrieStats stats = merged_->stats_as_trie();
   const trie::StageMapping mapping(stats.nodes_per_level.size(), kStages,
                                    trie::MappingPolicy::kOneLevelPerStage);
   const trie::NodeEncoding enc;
   const trie::StageMemory memory = trie::stage_memory(
       trie::occupancy(stats, mapping), enc, kVns);
-  std::vector<std::uint64_t> stage_bits;
+  power::EngineSpec engine;
   for (std::size_t s = 0; s < kStages; ++s) {
-    stage_bits.push_back(memory.stage_bits(s));
+    engine.stage_bits.push_back(memory.stage_bits(s));
   }
-  const fpga::StageBramPlan plan =
-      fpga::plan_stage_bram(stage_bits, fpga::BramPolicy::kMixed);
 
   const units::Megahertz freq{300.0};
-  const EnginePower measured = measure_engine_power(
-      router.engine(0).activity(), plan, fpga::SpeedGrade::kMinus2, freq);
+  const power::ActivityCounters activity = router.activity();
+  power::ModelContext ctx;
+  ctx.scheme = power::Scheme::kMerged;
+  ctx.merged_engine = &engine;
+  ctx.vn_count = kVns;
+  ctx.op.grade = fpga::SpeedGrade::kMinus2;
+  ctx.op.bram_policy = fpga::BramPolicy::kMixed;
+  ctx.op.freq_mhz = freq;
+  ctx.activity = &activity;
+  const power::ActivityPower measured = power::ActivityModel().estimate(ctx);
 
   // Analytical: coefficients × utilization (≈ 0.6 × trace-duty, slightly
   // below 0.6 because of drain cycles at the trace tail).
-  const double util = router.engine(0).activity().mean_stage_utilization();
+  const double util = sim.engine_utilization[0];
   const double logic_expected =
       fpga::XpeTables::logic_power_w(fpga::SpeedGrade::kMinus2, kStages, freq)
           .value() *
       util;
   EXPECT_NEAR(measured.logic_w.value(), logic_expected,
               logic_expected * 0.01);
-  EXPECT_GT(measured.memory_w.value(), 0.0);
-  EXPECT_GT(measured.dynamic_w(), measured.logic_w);
+  EXPECT_GT(measured.memory_gated_w.value(), 0.0);
+  EXPECT_GT(measured.logic_w + measured.memory_gated_w, measured.logic_w);
 }
 
-TEST(EnergyTest, ZeroCyclesGiveZeroPower) {
-  ActivityCounters counters;
-  counters.stage_busy.assign(4, 0);
-  counters.stage_reads.assign(4, 0);
-  fpga::StageBramPlan plan =
-      fpga::plan_stage_bram({100, 100, 100, 100}, fpga::BramPolicy::kMixed);
-  const EnginePower power = measure_engine_power(
-      counters, plan, fpga::SpeedGrade::kMinus2, units::Megahertz{400.0});
-  EXPECT_DOUBLE_EQ(power.dynamic_w().value(), 0.0);
+// -------------------------------------------------------------- activity --
+
+// One seeded K = 3 stream with VN 1 idle. Each packet clocks every stage
+// once, so a router's ledger must show busy(v, s) == packets of VN v on
+// every stage, whichever engine arrangement served the VN.
+class RouterActivityTest : public RouterSetFixture<3> {
+ protected:
+  static constexpr net::VnId kIdleVn = 1;
+
+  void SetUp() override {
+    RouterSetFixture<3>::SetUp();
+    net::TrafficConfig config;
+    config.cycles = 4000;
+    config.load = 0.7;
+    config.vn_weights = {3.0, 0.0, 1.0};
+    trace_ = net::TrafficGenerator(config, table_ptrs_).generate(21);
+    packets_.assign(kVns, 0);
+    for (const net::TimedPacket& p : trace_) ++packets_[p.packet.vnid];
+    ASSERT_EQ(packets_[kIdleVn], 0u);
+    ASSERT_GT(packets_[0], 0u);
+    ASSERT_GT(packets_[2], 0u);
+  }
+
+  /// The ledgers of a separate and a merged router after the stream.
+  std::vector<power::ActivityCounters> ledgers() const {
+    SeparateRouter separate(views_, kStages);
+    MergedRouter merged(*merged_, kStages);
+    (void)run_trace(separate, trace_);
+    (void)run_trace(merged, trace_);
+    return {separate.activity(), merged.activity()};
+  }
+
+  std::vector<net::TimedPacket> trace_;
+  std::vector<std::uint64_t> packets_;
+};
+
+TEST_F(RouterActivityTest, BusyCountsEachVnsPacketsOnEveryStage) {
+  for (const power::ActivityCounters& ledger : ledgers()) {
+    ASSERT_EQ(ledger.vn_count(), kVns);
+    ASSERT_EQ(ledger.stage_count(), kStages);
+    for (std::size_t v = 0; v < kVns; ++v) {
+      for (std::size_t s = 0; s < kStages; ++s) {
+        EXPECT_EQ(ledger.busy(v, s), packets_[v]) << "vn=" << v << " s=" << s;
+        EXPECT_LE(ledger.reads(v, s), ledger.busy(v, s))
+            << "vn=" << v << " s=" << s;
+      }
+    }
+  }
 }
 
-TEST(EnergyTest, MismatchedStageCountsDie) {
-  ActivityCounters counters;
-  counters.cycles = 10;
-  counters.stage_busy.assign(4, 1);
-  counters.stage_reads.assign(4, 1);
-  fpga::StageBramPlan plan =
-      fpga::plan_stage_bram({100, 100}, fpga::BramPolicy::kMixed);
-  EXPECT_DEATH(
-      (void)measure_engine_power(counters, plan, fpga::SpeedGrade::kMinus2,
-                                 units::Megahertz{400.0}),
-      "stage count");
+TEST_F(RouterActivityTest, IdleVnRowIsZero) {
+  for (const power::ActivityCounters& ledger : ledgers()) {
+    for (std::size_t s = 0; s < kStages; ++s) {
+      EXPECT_EQ(ledger.busy(kIdleVn, s), 0u) << "s=" << s;
+      EXPECT_EQ(ledger.reads(kIdleVn, s), 0u) << "s=" << s;
+    }
+    EXPECT_EQ(ledger.utilization(kIdleVn), 0.0);
+  }
 }
 
 }  // namespace

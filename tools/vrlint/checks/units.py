@@ -1,7 +1,6 @@
 """units — naked ``double``s must not carry a physical dimension.
 
-Absorbed from the pre-vrlint ``tools/check_units.py`` (PR 2/PR 4), rules
-unchanged:
+Three rules:
 
 1. Typed boundary (headers of src/{power,core,fpga,pipeline,multipipe,
    tcam,obs}): no naked-``double`` parameter/member/return with a
