@@ -8,7 +8,7 @@
 #include "fpga/freq_model.hpp"
 #include "fpga/xpe_tables.hpp"
 #include "netbase/table_gen.hpp"
-#include "trie/multibit_trie.hpp"
+#include "trie/flat_multibit_trie.hpp"
 
 int main() {
   using namespace vr;
@@ -20,7 +20,7 @@ int main() {
   out.set_header({"stride", "stages", "nodes", "memory Kb", "clock MHz",
                   "logic mW", "BRAM mW", "dynamic mW", "Gbps", "mW/Gbps*"});
   for (const unsigned stride : {1u, 2u, 4u, 8u}) {
-    const trie::MultibitTrie trie(table, stride);
+    const trie::FlatMultibitTrie trie(table, stride);
     const auto level_bits = trie.level_memory_bits();
     const fpga::StageBramPlan plan =
         fpga::plan_stage_bram(level_bits, fpga::BramPolicy::kMixed);

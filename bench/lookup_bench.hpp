@@ -1,8 +1,8 @@
 // Shared helpers of the lookup-throughput benches (perf_lookup and the
 // lookup section of perf_sweep): deterministic key generation, wall-clock
 // Mlookups/s measurement of any batched lookup callable (single- and
-// multi-threaded) and a publisher-churn driver reporting publish-latency
-// percentiles. Header-only so both binaries measure the exact same way.
+// multi-threaded), the per-stride image rows and a publisher-churn driver
+// reporting publish-latency percentiles. Header-only so both binaries measure the exact same way.
 #pragma once
 
 #include <chrono>
@@ -15,7 +15,9 @@
 #include "netbase/route_update.hpp"
 #include "netbase/traffic.hpp"
 #include "netbase/update_gen.hpp"
+#include "trie/flat_multibit_trie.hpp"
 #include "trie/snapshot_publisher.hpp"
+#include "trie/unibit_trie.hpp"
 
 namespace vr::bench {
 
@@ -58,6 +60,33 @@ double batch_mlps(const std::vector<net::Ipv4>& addrs, RunBatch&& run_batch,
   }
   if (best_ms <= 0.0) return 0.0;
   return static_cast<double>(addrs.size()) / 1e3 / best_ms;
+}
+
+/// One measured lookup image of stride_rows().
+struct StrideRow {
+  unsigned stride = 1;
+  double mlps = 0.0;
+  std::uint64_t memory_bits = 0;
+};
+
+/// Single-threaded Mlookups/s (best of `reps`) and memory of the lookup
+/// image over `table` at strides 1, 2, 4 and 8. Stride 1 is the node-for-
+/// node flattening of the leaf-pushed uni-bit trie (the image the pipeline
+/// simulator walks); the others are controlled prefix expansions.
+inline std::vector<StrideRow> stride_rows(const net::RoutingTable& table,
+                                          const std::vector<net::Ipv4>& addrs,
+                                          unsigned reps, std::uint64_t* sink) {
+  std::vector<StrideRow> rows;
+  for (const unsigned stride : {1u, 2u, 4u, 8u}) {
+    const trie::FlatMultibitTrie image =
+        stride == 1
+            ? trie::FlatMultibitTrie(trie::UnibitTrie(table).leaf_pushed())
+            : trie::FlatMultibitTrie(table, stride);
+    const double mlps = batch_mlps(
+        addrs, [&] { return image.lookup_batch(addrs); }, reps, sink);
+    rows.push_back({stride, mlps, image.memory_bits()});
+  }
+  return rows;
 }
 
 struct ThreadedMlps {

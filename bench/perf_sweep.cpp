@@ -26,7 +26,6 @@
 #include "lookup_bench.hpp"
 #include "netbase/table_gen.hpp"
 #include "trie/flat_multibit_trie.hpp"
-#include "trie/flat_trie.hpp"
 #include "trie/snapshot_publisher.hpp"
 #include "trie/unibit_trie.hpp"
 
@@ -55,14 +54,13 @@ std::string regenerate(const vr::core::FigureBuilder& builder) {
 /// The lookup-path numbers perf_sweep records next to the figure timings
 /// (perf_lookup measures the same quantities in more depth).
 struct LookupSection {
-  double unibit_mlps = 0.0;
-  double multibit_mlps = 0.0;      ///< stride-8 image, single thread
-  double per_thread_mlps = 0.0;    ///< stride-8 image across the pool
+  std::vector<vr::bench::StrideRow> strides;  ///< strides 1, 2, 4, 8
+  double per_thread_mlps = 0.0;  ///< stride-8 image across the pool
   double update_publish_p99_us = 0.0;
 };
 
-/// Measures the batched flat-SoA hot paths and one churn run on the
-/// bench's own table profile.
+/// Measures the lookup image's batched path at strides 1/2/4/8, stride-8
+/// thread scaling and one churn run on the bench's own table profile.
 LookupSection lookup_section(const vr::core::FigureOptions& opt, bool quick,
                              std::size_t pool) {
   using namespace vr;
@@ -74,13 +72,8 @@ LookupSection lookup_section(const vr::core::FigureOptions& opt, bool quick,
   const std::vector<net::Ipv4> addrs = bench::random_addresses(key_count, 42);
   std::uint64_t sink = 0;
 
-  const trie::UnibitTrie unibit = trie::UnibitTrie(table).leaf_pushed();
-  out.unibit_mlps = bench::batch_mlps(
-      addrs, [&] { return unibit.lookup_batch(addrs); }, reps, &sink);
-
+  out.strides = bench::stride_rows(table, addrs, reps, &sink);
   const trie::FlatMultibitTrie multibit(table, /*stride=*/8);
-  out.multibit_mlps = bench::batch_mlps(
-      addrs, [&] { return multibit.lookup_batch(addrs); }, reps, &sink);
   const bench::ThreadedMlps scaling = bench::threaded_mlps(
       addrs, [&] { return multibit.lookup_batch(addrs); }, pool, reps,
       &sink);
@@ -191,7 +184,8 @@ int main(int argc, char** argv) {
   const double speedup_cold = serial_ms / parallel_cold_ms;
   const double speedup_warm = serial_ms / parallel_warm_ms;
   const LookupSection lookup = lookup_section(base, quick, parallel_threads);
-  const double mlps = lookup.unibit_mlps;
+  const double mlps = lookup.strides.front().mlps;
+  const double stride8_mlps = lookup.strides.back().mlps;
   const dataplane::FullRouterResult dataplane = dataplane_phase(quick);
 
   TextTable table("perf_sweep - full Figs. 5-8 regeneration, both grades" +
@@ -211,11 +205,12 @@ int main(int argc, char** argv) {
             << (identical ? "yes" : "NO — DETERMINISM VIOLATION") << '\n'
             << "workload cache: " << cold_stats.hits << " hits / "
             << cold_stats.misses << " misses on the cold parallel run\n"
-            << "flat SoA batched lookup: " << TextTable::num(mlps, 2)
-            << " Mlookups/s unibit, " << TextTable::num(lookup.multibit_mlps, 2)
-            << " multibit (stride 8), "
-            << TextTable::num(lookup.per_thread_mlps, 2) << " per thread ("
-            << parallel_threads << " threads)\n"
+            << "flat image batched lookup, Mlookups/s by stride:";
+  for (const bench::StrideRow& row : lookup.strides) {
+    std::cout << ' ' << row.stride << ": " << TextTable::num(row.mlps, 2);
+  }
+  std::cout << "; stride 8 " << TextTable::num(lookup.per_thread_mlps, 2)
+            << " per thread (" << parallel_threads << " threads)\n"
             << "snapshot publisher: p99 "
             << TextTable::num(lookup.update_publish_p99_us, 1)
             << " us per publish\n"
@@ -248,8 +243,8 @@ int main(int argc, char** argv) {
        << "  \"cache_hits\": " << cold_stats.hits << ",\n"
        << "  \"cache_misses\": " << cold_stats.misses << ",\n"
        << "  \"batched_lookup_mlps\": " << TextTable::num(mlps, 3) << ",\n"
-       << "  \"lookup_mlps_multibit\": "
-       << TextTable::num(lookup.multibit_mlps, 3) << ",\n"
+       << "  \"lookup_mlps_multibit\": " << TextTable::num(stride8_mlps, 3)
+       << ",\n"
        << "  \"lookup_mlps_per_thread\": "
        << TextTable::num(lookup.per_thread_mlps, 3) << ",\n"
        << "  \"update_publish_p99_us\": "

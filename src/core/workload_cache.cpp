@@ -5,7 +5,7 @@
 
 #include "netbase/routing_table.hpp"
 #include "obs/timer.hpp"
-#include "trie/flat_trie.hpp"
+#include "trie/flat_multibit_trie.hpp"
 #include "trie/unibit_trie.hpp"
 #include "virt/merged_trie.hpp"
 
@@ -76,18 +76,17 @@ std::uint64_t WorkloadCache::approx_bytes(const Workload& workload) {
     bytes += sizeof(net::RoutingTable) + table.size() * sizeof(net::Route);
   }
   for (const trie::UnibitTrie& trie : workload.tries) {
-    // Node vector + level offsets + the flat SoA mirror (left/right index
-    // arrays and the per-VN next-hop pool).
+    // Node vector + level offsets.
     bytes += sizeof(trie::UnibitTrie) +
-             trie.node_count() *
-                 (sizeof(trie::TrieNode) + 2 * sizeof(trie::NodeIndex) +
-                  trie.flat().vn_count() * sizeof(net::NextHop)) +
+             trie.node_count() * sizeof(trie::TrieNode) +
              trie.level_offsets().size() * sizeof(std::size_t);
   }
   if (workload.merged_trie.has_value()) {
+    // The lookup image: two entries per node, each a child index and K
+    // next hops.
     const virt::MergedTrie& merged = *workload.merged_trie;
-    bytes += merged.node_count() *
-             (sizeof(virt::MergedNode) + 2 * sizeof(trie::NodeIndex) +
+    bytes += merged.image()->entry_count() *
+             (sizeof(trie::NodeIndex) +
               merged.vn_count() * sizeof(net::NextHop));
   }
   return bytes;

@@ -35,9 +35,9 @@ class LookupEngine {
  public:
   /// Width of the lookup address in bits (IPv4). Because stage s inspects
   /// the address bits of trie level s, a trie may have at most
-  /// TrieView::max_levels() levels (kAddressBits + 1 uni-bit, 32/stride
-  /// for a stride-k image); the constructor rejects mismatched depths up
-  /// front.
+  /// TrieView::max_levels() levels (kAddressBits + 1 at stride 1,
+  /// kAddressBits / k at stride k); the constructor rejects mismatched
+  /// depths up front.
   static constexpr std::size_t kAddressBits = 32;
 
   /// Builds an engine over a trie view with `stage_count` stages; the trie

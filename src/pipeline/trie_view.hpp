@@ -1,18 +1,14 @@
-// Adapter over the trie flavours (per-VN uni-bit trie, K-way merged trie
-// and stride-k flat multibit images) presenting the uniform per-stage
-// interface the pipeline simulator traverses. Backed by the flat
-// structure-of-arrays views (trie::FlatTrie / trie::FlatMultibitTrie), so
-// every per-cycle stage access is a direct contiguous-array read —
-// ownership of the arrays is shared, so a view outlives the trie object it
-// was made from.
+// The pipeline simulator's view of a lookup trie: one shared flat image
+// (trie::FlatMultibitTrie) traversed one level per stage. A uni-bit trie is
+// flattened at stride 1 when the view is made, a merged trie shares the
+// image it owns, and a stride-k image is shared as is. Every per-cycle stage
+// access is a direct contiguous-array read, and the view shares ownership of
+// the image, so it outlives the trie object it was made from.
 #pragma once
 
 #include <memory>
 
-#include "common/bitops.hpp"
-#include "common/error.hpp"
 #include "trie/flat_multibit_trie.hpp"
-#include "trie/flat_trie.hpp"
 #include "trie/unibit_trie.hpp"
 #include "virt/merged_trie.hpp"
 
@@ -20,95 +16,53 @@ namespace vr::pipeline {
 
 class TrieView {
  public:
-  explicit TrieView(const trie::UnibitTrie& t) noexcept
-      : flat_(t.flat_shared()) {}
+  /// Flattens a uni-bit trie at stride 1, node for node.
+  explicit TrieView(const trie::UnibitTrie& t)
+      : image_(std::make_shared<const trie::FlatMultibitTrie>(t)) {}
   explicit TrieView(const virt::MergedTrie& t) noexcept
-      : flat_(t.flat_shared()) {}
+      : image_(t.image()) {}
   /// A stride-k image: each pipeline stage consumes `stride` address bits.
   explicit TrieView(std::shared_ptr<const trie::FlatMultibitTrie> t) noexcept
-      : multibit_(std::move(t)) {}
+      : image_(std::move(t)) {}
 
-  [[nodiscard]] trie::NodeIndex left(trie::NodeIndex n) const noexcept {
-    return flat_->left(n);
-  }
-  [[nodiscard]] trie::NodeIndex right(trie::NodeIndex n) const noexcept {
-    return flat_->right(n);
-  }
-
-  /// Next hop stored at node `n` for virtual network `vn` (kNoRoute when
-  /// absent). Single tries ignore `vn`. Uni-bit views only — a multibit
-  /// node's hop also depends on the address slot (use step()).
-  [[nodiscard]] net::NextHop next_hop(trie::NodeIndex n, net::VnId vn)
-      const noexcept {
-    return flat_->next_hop(n, flat_->vn_count() == 1 ? net::VnId{0} : vn);
-  }
-
-  /// Address bits one pipeline stage consumes (1 for uni-bit views).
-  [[nodiscard]] unsigned stride() const noexcept {
-    return multibit_ ? multibit_->stride() : 1u;
-  }
-
-  /// True when backed by a stride-k multibit image.
-  [[nodiscard]] bool is_multibit() const noexcept {
-    return multibit_ != nullptr;
-  }
+  /// Address bits one pipeline stage consumes.
+  [[nodiscard]] unsigned stride() const noexcept { return image_->stride(); }
 
   [[nodiscard]] std::size_t level_count() const noexcept {
-    return multibit_ ? multibit_->level_count() : flat_->level_count();
+    return image_->level_count();
   }
 
-  /// Deepest pipeline a trie of this flavour can need: one level per
-  /// stage, and a /32 walk consumes 32 address bits plus the uni-bit root
-  /// level (33 uni-bit levels, 32/k stride-k levels).
+  /// Deepest pipeline a trie of this stride can need: one level per
+  /// stage (33 at stride 1, root level included; 32/k at stride k).
   [[nodiscard]] std::size_t max_levels() const noexcept {
-    return multibit_ ? multibit_->max_level_count() : std::size_t{33};
-  }
-
-  [[nodiscard]] std::size_t node_count() const noexcept {
-    return multibit_ ? multibit_->node_count() : flat_->node_count();
+    return image_->max_level_count();
   }
 
   /// Number of virtual networks the view serves (1 for a single trie).
   [[nodiscard]] std::size_t vn_count() const noexcept {
-    return multibit_ ? multibit_->vn_count() : flat_->vn_count();
+    return image_->vn_count();
   }
 
   /// One pipeline stage's worth of traversal for the node at trie level
   /// `level`: the next-hop information stored where this stage looks
   /// (kNoRoute when none) and the node the packet must visit next
-  /// (kNullNode when the traversal terminates here).
+  /// (kNullNode when the traversal terminates here). `vn` must be below
+  /// vn_count().
   struct Step {
     trie::NodeIndex next = trie::kNullNode;
     net::NextHop hop = net::kNoRoute;
   };
   [[nodiscard]] Step step(trie::NodeIndex node, std::uint32_t addr,
                           std::size_t level, net::VnId vn) const noexcept {
-    Step out;
-    if (multibit_) {
-      const net::VnId effective =
-          multibit_->vn_count() == 1 ? net::VnId{0} : vn;
-      const std::size_t slot = multibit_->slot_of(addr, level);
-      out.hop = multibit_->next_hop(node, slot, effective);
-      out.next = multibit_->child(node, slot);
-      return out;
-    }
-    out.hop = next_hop(node, vn);
-    // Uni-bit stage `level` inspects address bit `level`; past the last
-    // bit a node is necessarily a leaf.
-    if (level < 32) {
-      const bool bit = bit_at(addr, static_cast<unsigned>(level));
-      out.next = bit ? flat_->right(node) : flat_->left(node);
-    }
-    return out;
+    // A walk ends at bit 32: the depth-32 node a stride-1 flattening keeps
+    // for a /32 route has no address bits left to branch on.
+    if (level * image_->stride() >= 32) return {};
+    const std::size_t slot = image_->slot_of(addr, level);
+    return {image_->child(node, slot), image_->next_hop(node, slot, vn)};
   }
 
-  /// The underlying flat SoA trie (batched lookups etc.). Uni-bit views
-  /// only.
-  [[nodiscard]] const trie::FlatTrie& flat() const noexcept { return *flat_; }
-
  private:
-  std::shared_ptr<const trie::FlatTrie> flat_;
-  std::shared_ptr<const trie::FlatMultibitTrie> multibit_;
+  std::shared_ptr<const trie::FlatMultibitTrie> image_;
 };
 
 }  // namespace vr::pipeline

@@ -1,16 +1,31 @@
 #include "trie/flat_multibit_trie.hpp"
 
+#include <algorithm>
+#include <array>
 #include <utility>
 
 #include "common/error.hpp"
 #include "obs/registry.hpp"
-#include "trie/prefetch.hpp"
 
 namespace vr::trie {
 
 namespace {
 
-/// Batched-lookup counters of the multibit hot path, registered once.
+/// Keys in flight in the batched lookup pipeline. A window of 8 hides the
+/// dependent-load latency of a stride-8 walk (bench/perf_lookup).
+constexpr unsigned kBatchWindow = 8;
+
+/// Portable prefetch-for-read hint; compiles to nothing when the builtin
+/// is unavailable.
+inline void prefetch_read(const void* address) noexcept {
+#if defined(__GNUC__) || defined(__clang__)
+  __builtin_prefetch(address, /*rw=*/0, /*locality=*/1);
+#else
+  (void)address;
+#endif
+}
+
+/// Batched-lookup counters, registered once.
 struct LookupMetrics {
   obs::Counter& batches;
   obs::Counter& keys;
@@ -18,9 +33,8 @@ struct LookupMetrics {
   static const LookupMetrics& get() {
     static LookupMetrics metrics = [] {
       obs::Registry& reg = obs::Registry::global();
-      return LookupMetrics{
-          reg.counter("trie.lookup_batches", {{"path", "multibit"}}),
-          reg.counter("trie.lookup_keys", {{"path", "multibit"}})};
+      return LookupMetrics{reg.counter("trie.lookup_batches"),
+                           reg.counter("trie.lookup_keys")};
     }();
     return metrics;
   }
@@ -33,20 +47,19 @@ FlatMultibitTrie::FlatMultibitTrie(unsigned stride, std::size_t vn_count)
       slot_mask_((1u << stride) - 1u),
       width_(std::size_t{1} << stride),
       vn_count_(vn_count) {
-  VR_REQUIRE(stride == 2 || stride == 4 || stride == 8,
-             "flat multibit stride must be 2, 4 or 8");
+  VR_REQUIRE(stride == 1 || stride == 2 || stride == 4 || stride == 8,
+             "flat multibit stride must be 1, 2, 4 or 8");
   VR_REQUIRE(vn_count_ >= 1, "flat multibit trie needs at least one VN");
   VR_REQUIRE(vn_count_ <= 0xffffu, "VN count exceeds the VNID width");
 }
 
-/// Build-time scaffolding: the image under construction plus the per-entry
-/// per-VN expanded-route lengths that break ties during controlled prefix
-/// expansion (longer original prefixes win). The lengths are discarded
-/// once every route is inserted.
+/// Build-time scaffolding of controlled prefix expansion: the image under
+/// construction plus the per-entry per-VN expanded-route lengths that break
+/// ties (longer original prefixes win). The lengths are discarded once
+/// every route is inserted.
 struct FlatMultibitTrie::Builder {
   FlatMultibitTrie image;
   std::vector<std::uint8_t> route_lens;  // parallel to image.next_hops_
-  std::size_t level_count = 0;
 
   Builder(unsigned stride, std::size_t vn_count) : image(stride, vn_count) {
     allocate(0);
@@ -59,7 +72,9 @@ struct FlatMultibitTrie::Builder {
     image.next_hops_.insert(image.next_hops_.end(),
                             image.width_ * image.vn_count_, net::kNoRoute);
     route_lens.insert(route_lens.end(), image.width_ * image.vn_count_, 0);
-    level_count = std::max(level_count, level + 1);
+    std::vector<std::size_t>& counts = image.level_node_counts_;
+    if (counts.size() <= level) counts.resize(level + 1, 0);
+    ++counts[level];
     return index;
   }
 
@@ -68,10 +83,9 @@ struct FlatMultibitTrie::Builder {
                            slot];
   }
 
-  /// Inserts one route of virtual network `vn` — the same descent and
-  /// controlled-prefix-expansion rules as MultibitTrie::insert, applied to
-  /// the VN's own lane of the K-wide next-hop vectors. Structural nodes
-  /// are shared across VNs (a node exists wherever any VN needs one).
+  /// Inserts one route of virtual network `vn` into the VN's own lane of
+  /// the K-wide next-hop vectors. Structural nodes are shared across VNs
+  /// (a node exists wherever any VN needs one).
   void insert(net::VnId vn, const net::Route& route) {
     const unsigned stride = image.stride_;
     const unsigned length = route.prefix.length();
@@ -115,15 +129,9 @@ struct FlatMultibitTrie::Builder {
 
 FlatMultibitTrie::FlatMultibitTrie(const net::RoutingTable& table,
                                    unsigned stride)
-    : FlatMultibitTrie(stride, 1) {
-  Builder builder(stride, 1);
-  for (const net::Route& route : table.routes()) {
-    builder.insert(0, route);
-  }
-  children_ = std::move(builder.image.children_);
-  next_hops_ = std::move(builder.image.next_hops_);
-  level_count_ = builder.level_count;
-}
+    : FlatMultibitTrie(std::span<const net::RoutingTable* const>(
+                           std::array{&table}),
+                       stride) {}
 
 FlatMultibitTrie::FlatMultibitTrie(
     std::span<const net::RoutingTable* const> tables, unsigned stride)
@@ -135,27 +143,80 @@ FlatMultibitTrie::FlatMultibitTrie(
       builder.insert(static_cast<net::VnId>(v), route);
     }
   }
-  children_ = std::move(builder.image.children_);
-  next_hops_ = std::move(builder.image.next_hops_);
-  level_count_ = builder.level_count;
+  *this = std::move(builder.image);
 }
 
-FlatMultibitTrie::FlatMultibitTrie(const MultibitTrie& trie)
-    : FlatMultibitTrie(trie.stride(), 1) {
-  const std::size_t nodes = trie.node_count();
-  VR_REQUIRE(nodes <= kMaxNodeCount,
-             "multibit trie node count exceeds what NodeIndex can address");
-  children_.reserve(nodes * width_);
-  next_hops_.reserve(nodes * width_);
-  for (std::size_t n = 0; n < nodes; ++n) {
-    // narrow-ok: n < nodes <= kMaxNodeCount (VR_REQUIRE above the loop)
-    const auto index = static_cast<NodeIndex>(n);
-    for (std::size_t slot = 0; slot < width_; ++slot) {
-      children_.push_back(trie.entry_child(index, slot));
-      next_hops_.push_back(trie.entry_next_hop(index, slot));
-    }
+FlatMultibitTrie::FlatMultibitTrie(const UnibitTrie& trie)
+    : FlatMultibitTrie(1, 1) {
+  BinaryFlattener flattener(1);
+  for (const TrieNode& node : trie.nodes()) {
+    flattener.add_node(node.left, node.right, {&node.next_hop, 1});
   }
-  level_count_ = trie.level_count();
+  *this = std::move(flattener).finish(trie.level_offsets());
+}
+
+FlatMultibitTrie::BinaryFlattener::BinaryFlattener(std::size_t vn_count)
+    : image_(1, vn_count) {}
+
+void FlatMultibitTrie::BinaryFlattener::add_node(
+    NodeIndex left, NodeIndex right, std::span<const net::NextHop> hops) {
+  const std::size_t k = image_.vn_count_;
+  VR_REQUIRE(hops.size() == k, "a node needs one next hop per VN");
+  std::vector<NodeIndex>& children = image_.children_;
+  std::vector<net::NextHop>& entry_hops = image_.next_hops_;
+  const NodeIndex index =
+      checked_node_index(children.size() / 2, "stride-1 flattening");
+  if (index == 0) {
+    // The root has no parent entry: its own hops back both root entries
+    // until a child with a hop of its own replaces them.
+    for (int b = 0; b < 2; ++b) {
+      entry_hops.insert(entry_hops.end(), hops.begin(), hops.end());
+    }
+  } else {
+    // Breadth-first numbering: the next entry with a child points here.
+    while (cursor_ < children.size() && children[cursor_] == kNullNode) {
+      ++cursor_;
+    }
+    VR_REQUIRE(cursor_ < children.size() && children[cursor_] == index,
+               "flattened nodes must arrive in breadth-first order");
+    for (std::size_t v = 0; v < k; ++v) {
+      if (hops[v] != net::kNoRoute) entry_hops[cursor_ * k + v] = hops[v];
+    }
+    ++cursor_;
+    entry_hops.resize(entry_hops.size() + 2 * k, net::kNoRoute);
+  }
+  children.push_back(left);
+  children.push_back(right);
+}
+
+FlatMultibitTrie FlatMultibitTrie::BinaryFlattener::finish(
+    std::span<const std::size_t> level_offsets) && {
+  const std::vector<NodeIndex>& children = image_.children_;
+  VR_REQUIRE(!children.empty(), "a flattened trie needs at least the root");
+  VR_REQUIRE(std::all_of(children.begin() + static_cast<std::ptrdiff_t>(
+                                                 cursor_),
+                         children.end(),
+                         [](NodeIndex c) { return c == kNullNode; }),
+             "child index out of range");
+  VR_REQUIRE(level_offsets.size() >= 2 && level_offsets.front() == 0 &&
+                 level_offsets.back() == image_.node_count(),
+             "level offsets must span every node");
+  for (std::size_t l = 0; l + 1 < level_offsets.size(); ++l) {
+    image_.level_node_counts_.push_back(level_offsets[l + 1] -
+                                        level_offsets[l]);
+  }
+  return std::move(image_);
+}
+
+std::vector<std::uint64_t> FlatMultibitTrie::level_memory_bits(
+    unsigned pointer_bits, unsigned nhi_bits) const {
+  std::vector<std::uint64_t> out;
+  out.reserve(level_node_counts_.size());
+  for (const std::size_t count : level_node_counts_) {
+    out.push_back(std::uint64_t{count} * width_ *
+                  entry_bits(pointer_bits, nhi_bits));
+  }
+  return out;
 }
 
 net::NextHop FlatMultibitTrie::lookup_raw(std::uint32_t addr,
@@ -186,10 +247,11 @@ template <typename AddrFn, typename VnFn>
 void FlatMultibitTrie::lookup_batch_core(std::size_t count, AddrFn&& addr_at,
                                          VnFn&& vn_at,
                                          net::NextHop* out) const {
-  // Lane-interleaved software pipeline (trie/prefetch.hpp): a window of up
-  // to D lookups is in flight; each round advances every lane one stride
-  // and prefetches the exact entry the lane will read next round, so up to
-  // D dependent memory accesses are resolved concurrently.
+  // Lane-interleaved software pipeline: a window of kBatchWindow lookups is
+  // in flight; each round advances every lane one level and prefetches the
+  // exact entry the lane will read next round, so the dependent memory
+  // accesses of different keys overlap instead of serializing. Finished
+  // lanes are refilled from the remaining keys.
   struct Lane {
     std::uint32_t addr;
     NodeIndex node;
@@ -198,15 +260,7 @@ void FlatMultibitTrie::lookup_batch_core(std::size_t count, AddrFn&& addr_at,
     net::VnId vn;
     std::size_t out_index;
   };
-  const unsigned window = prefetch_distance(kMultibitPrefetchDistance);
-  if (window <= 1) {
-    // A window of 1 is a plain scalar loop; skip the lane bookkeeping.
-    for (std::size_t i = 0; i < count; ++i) {
-      out[i] = lookup_raw(addr_at(i), vn_at(i));
-    }
-    return;
-  }
-  Lane lanes[kMaxPrefetchDistance];
+  Lane lanes[kBatchWindow];
   std::size_t issued = 0;
   unsigned active = 0;
   const auto start_lane = [&](Lane& lane, std::size_t i) {
@@ -217,7 +271,7 @@ void FlatMultibitTrie::lookup_batch_core(std::size_t count, AddrFn&& addr_at,
     lane.vn = vn_at(i);
     lane.out_index = i;
   };
-  while (issued < count && active < window) {
+  while (issued < count && active < kBatchWindow) {
     start_lane(lanes[active++], issued);
     ++issued;
   }

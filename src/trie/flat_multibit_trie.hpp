@@ -1,21 +1,28 @@
-// Flat stride-k multibit lookup image — the line-rate end of the software
-// lookup path. Where FlatTrie consumes one address bit per pointer chase
-// (up to 33 dependent memory accesses per lookup), a stride-k image
-// consumes k bits per level, so a full /32 walk needs only 32/k dependent
-// accesses (4 for k = 8) at the price of controlled prefix expansion
-// (each node stores 2^k entries, mirroring trie::MultibitTrie and the
-// hardware-side stride ablation).
+// Flat stride-k lookup image — the one structure-of-arrays lookup image of
+// the software lookup path, for strides 1, 2, 4 and 8. A node holds 2^k
+// entries; entry (n, slot) stores a child pointer and a K-wide next-hop
+// vector indexed by VNID (K = 1 for a single table, K > 1 for the VM merged
+// scheme), so a walk consumes k address bits per dependent access.
 //
-// The image is a structure of arrays shared by every consumer kind the
-// unibit FlatTrie serves: scalar `lookup` (verified against the
-// UnibitTrie oracle), the pipeline simulator via `pipeline::TrieView`
-// (one stride-k level per stage), and the batched dataplane
-// `lookup_batch`, which runs the prefetch-pipelined loop described in
-// trie/prefetch.hpp.
+// Two builders fill the same arrays, and they differ on purpose:
+//   * Controlled prefix expansion (CPE) from routing tables, the stride
+//     axis of the paper's ref. [16]: a route covers the 2^(k - r) slots its
+//     last r bits select, a longer original prefix wins a slot, and a route
+//     ending on a node boundary lives in its parent's entries, so no node
+//     is a bare leaf. This is the memory-minimal image: `ablation_stride`
+//     prices its per-level node counts and the SnapshotPublisher rebuilds
+//     it on every epoch.
+//   * The stride-1 flattening of a binary trie (UnibitTrie, MergedTrie):
+//     every node keeps its breadth-first index, entry (n, b) holds child b
+//     of n and that child's K next hops, and the root's own hops fill the
+//     root entries whose child has none. A walk therefore visits exactly
+//     the binary trie's nodes, leaves included, one depth per level — the
+//     one-level-per-stage mapping of paper Sec. V-D that the pipeline
+//     simulator's per-stage reads price.
 //
-// Like FlatTrie, one image can serve K virtual networks (the VM merged
-// scheme): entries carry a K-wide next-hop vector indexed by VNID, and a
-// node exists wherever *any* VN's own multibit trie has one.
+// Consumers: scalar `lookup` (verified against the UnibitTrie oracle), the
+// prefetch-pipelined `lookup_batch`, and `pipeline::TrieView` (one level
+// per pipeline stage).
 #pragma once
 
 #include <cstdint>
@@ -25,24 +32,26 @@
 
 #include "netbase/routing_table.hpp"
 #include "netbase/traffic.hpp"
-#include "trie/multibit_trie.hpp"
 #include "trie/unibit_trie.hpp"
 
 namespace vr::trie {
 
 class FlatMultibitTrie {
  public:
-  /// Builds a single-VN stride-k image straight from a routing table
-  /// (k in {2, 4, 8}; stride 1 is FlatTrie's domain).
+  /// Builds a single-VN stride-k image of a routing table by controlled
+  /// prefix expansion (k in {1, 2, 4, 8}).
   FlatMultibitTrie(const net::RoutingTable& table, unsigned stride);
-
-  /// Flattens an existing MultibitTrie (same stride, single VN).
-  explicit FlatMultibitTrie(const MultibitTrie& trie);
 
   /// Builds a K-way merged stride-k image: `tables[v]` is the routing
   /// table of virtual network v. All pointers non-null, K >= 1.
   FlatMultibitTrie(std::span<const net::RoutingTable* const> tables,
                    unsigned stride);
+
+  /// Stride-1 flattening of a uni-bit trie (K = 1), node for node.
+  explicit FlatMultibitTrie(const UnibitTrie& trie);
+
+  /// Stride-1 flattening of a K-way binary trie, node by node (below).
+  class BinaryFlattener;
 
   [[nodiscard]] unsigned stride() const noexcept { return stride_; }
   /// Entries per node (2^stride).
@@ -55,14 +64,20 @@ class FlatMultibitTrie {
   [[nodiscard]] std::size_t entry_count() const noexcept {
     return children_.size();
   }
-  /// Allocated levels; a full /32 walk visits min(level_count, 32/stride)
-  /// nodes.
+  /// Allocated levels (one pipeline stage each).
   [[nodiscard]] std::size_t level_count() const noexcept {
-    return level_count_;
+    return level_node_counts_.size();
   }
-  /// Maximum levels a stride-k image can have (32 / stride).
+  /// Nodes per level.
+  [[nodiscard]] const std::vector<std::size_t>& level_node_counts() const
+      noexcept {
+    return level_node_counts_;
+  }
+  /// Deepest image a 32-bit walk can need: 32/stride levels of entries,
+  /// plus at stride 1 the depth-32 level a flattened binary trie keeps
+  /// (the nodes of /32 routes), where a walk ends without reading.
   [[nodiscard]] std::size_t max_level_count() const noexcept {
-    return 32u / stride_;
+    return 32u / stride_ + (stride_ == 1 ? 1u : 0u);
   }
 
   /// Child pointer of entry `slot` of node `n` (kNullNode when none).
@@ -78,7 +93,7 @@ class FlatMultibitTrie {
                       vn];
   }
 
-  /// The address bits level `l` consumes, as an entry slot.
+  /// The address bits level `l` consumes, as an entry slot (l < 32/stride).
   [[nodiscard]] std::size_t slot_of(std::uint32_t addr, std::size_t level)
       const noexcept {
     return (addr >> (32u - (level + 1) * stride_)) & slot_mask_;
@@ -90,8 +105,8 @@ class FlatMultibitTrie {
   [[nodiscard]] std::optional<net::NextHop> lookup(net::Ipv4 addr,
                                                    net::VnId vn = 0) const;
 
-  /// Batched longest-prefix match, prefetch-pipelined (trie/prefetch.hpp):
-  /// one result per address, kNoRoute where no route covers it.
+  /// Batched longest-prefix match, prefetch-pipelined: one result per
+  /// address, kNoRoute where no route covers it.
   [[nodiscard]] std::vector<net::NextHop> lookup_batch(
       std::span<const net::Ipv4> addrs, net::VnId vn = 0) const;
 
@@ -99,26 +114,35 @@ class FlatMultibitTrie {
   [[nodiscard]] std::vector<net::NextHop> lookup_batch(
       std::span<const net::Packet> packets) const;
 
-  /// Memory footprint in bits under the same per-entry encoding as
-  /// MultibitTrie::memory_bits.
+  /// Memory footprint in bits: every entry stores a `pointer_bits` child
+  /// pointer and `vn_count` next hops of `nhi_bits` each.
   [[nodiscard]] std::uint64_t memory_bits(unsigned pointer_bits = 18,
                                           unsigned nhi_bits = 8) const
       noexcept {
-    return std::uint64_t{entry_count()} *
-           (pointer_bits + nhi_bits * vn_count_);
+    return std::uint64_t{entry_count()} * entry_bits(pointer_bits, nhi_bits);
   }
+
+  /// Per-level memory bits (for stage-mapped power evaluation); sums to
+  /// memory_bits().
+  [[nodiscard]] std::vector<std::uint64_t> level_memory_bits(
+      unsigned pointer_bits = 18, unsigned nhi_bits = 8) const;
 
  private:
   struct Builder;
 
   FlatMultibitTrie(unsigned stride, std::size_t vn_count);
 
+  [[nodiscard]] std::uint64_t entry_bits(unsigned pointer_bits,
+                                         unsigned nhi_bits) const noexcept {
+    return pointer_bits + std::uint64_t{nhi_bits} * vn_count_;
+  }
+
   [[nodiscard]] net::NextHop lookup_raw(std::uint32_t addr,
                                         net::VnId vn) const noexcept;
 
   /// Pipelined batch core: resolves the key (addr_at(i), vn_at(i)) into
-  /// `out[i]` for i in [0, count) with a `prefetch_distance()`-deep lane
-  /// window. Defined in the implementation file; instantiated only there.
+  /// `out[i]` for i in [0, count). Defined in the implementation file;
+  /// instantiated only there.
   template <typename AddrFn, typename VnFn>
   void lookup_batch_core(std::size_t count, AddrFn&& addr_at, VnFn&& vn_at,
                          net::NextHop* out) const;
@@ -127,9 +151,32 @@ class FlatMultibitTrie {
   std::uint32_t slot_mask_;
   std::size_t width_;
   std::size_t vn_count_;
-  std::size_t level_count_ = 1;
+  std::vector<std::size_t> level_node_counts_;
   std::vector<NodeIndex> children_;     // node-major, width_ per node
   std::vector<net::NextHop> next_hops_; // entry-major, vn_count_ per entry
+};
+
+/// Stride-1 flattening of a K-way binary trie, fed one node at a time in
+/// breadth-first order with children numbered in the order their parents'
+/// entries point to them (the order UnibitTrie and MergedTrie store). Each
+/// node's hops land in its parent's entry as it is added, so the source
+/// trie needs no node-major hop pool.
+class FlatMultibitTrie::BinaryFlattener {
+ public:
+  explicit BinaryFlattener(std::size_t vn_count);
+
+  /// Appends the next node: its children and its own `vn_count` hops.
+  void add_node(NodeIndex left, NodeIndex right,
+                std::span<const net::NextHop> hops);
+
+  /// The finished image. `level_offsets` holds the first node of every
+  /// level, then the node count.
+  [[nodiscard]] FlatMultibitTrie finish(
+      std::span<const std::size_t> level_offsets) &&;
+
+ private:
+  FlatMultibitTrie image_;
+  std::size_t cursor_ = 0;  ///< next entry whose child is still to come
 };
 
 }  // namespace vr::trie

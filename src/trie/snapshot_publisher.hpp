@@ -51,7 +51,7 @@ class SnapshotPublisher {
   };
 
   /// Builds and publishes the initial image (version 0) from `base`.
-  /// `stride` must be one a FlatMultibitTrie supports (2, 4 or 8).
+  /// `stride` must be one a FlatMultibitTrie supports (1, 2, 4 or 8).
   SnapshotPublisher(const net::RoutingTable& base, unsigned stride);
 
   SnapshotPublisher(const SnapshotPublisher&) = delete;

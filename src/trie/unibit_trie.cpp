@@ -4,7 +4,6 @@
 
 #include "common/bitops.hpp"
 #include "common/error.hpp"
-#include "trie/flat_trie.hpp"
 
 namespace vr::trie {
 
@@ -65,16 +64,29 @@ void UnibitTrie::canonicalize() {
     if (node.right != kNullNode) node.right = remap[node.right];
   }
   nodes_ = std::move(ordered);
-  flat_ = std::make_shared<const FlatTrie>(*this);
 }
 
 std::optional<net::NextHop> UnibitTrie::lookup(net::Ipv4 addr) const {
-  return flat_->lookup(addr);
+  std::optional<net::NextHop> best;
+  NodeIndex current = 0;
+  for (unsigned depth = 0;; ++depth) {
+    const TrieNode& node = nodes_[current];
+    if (node.has_route()) best = node.next_hop;
+    if (depth == 32) break;
+    current = bit_at(addr.value(), depth) ? node.right : node.left;
+    if (current == kNullNode) break;
+  }
+  return best;
 }
 
 std::vector<net::NextHop> UnibitTrie::lookup_batch(
     std::span<const net::Ipv4> addrs) const {
-  return flat_->lookup_batch(addrs);
+  std::vector<net::NextHop> out;
+  out.reserve(addrs.size());
+  for (const net::Ipv4 addr : addrs) {
+    out.push_back(lookup(addr).value_or(net::kNoRoute));
+  }
+  return out;
 }
 
 UnibitTrie UnibitTrie::leaf_pushed() const {

@@ -5,7 +5,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -15,8 +14,6 @@
 #include "netbase/routing_table.hpp"
 
 namespace vr::trie {
-
-class FlatTrie;
 
 /// Index of a node inside a trie's node vector.
 using NodeIndex = std::uint32_t;
@@ -69,23 +66,14 @@ class UnibitTrie {
   explicit UnibitTrie(const net::RoutingTable& table);
 
   /// Longest-prefix match: next hop of the most specific route covering
-  /// `addr`, or nullopt. Runs on the flat SoA view.
+  /// `addr`, or nullopt. Walks the trie's own nodes: this is the oracle
+  /// the flat lookup images are tested against.
   [[nodiscard]] std::optional<net::NextHop> lookup(net::Ipv4 addr) const;
 
   /// Batched longest-prefix match: one entry per address, net::kNoRoute
   /// where no route covers it.
   [[nodiscard]] std::vector<net::NextHop> lookup_batch(
       std::span<const net::Ipv4> addrs) const;
-
-  /// The flat structure-of-arrays view of this trie (always present;
-  /// rebuilt whenever the node vector is canonicalized).
-  [[nodiscard]] const FlatTrie& flat() const noexcept { return *flat_; }
-
-  /// Shares ownership of the flat view (pipeline TrieViews keep the
-  /// arrays alive independently of this trie object).
-  [[nodiscard]] std::shared_ptr<const FlatTrie> flat_shared() const noexcept {
-    return flat_;
-  }
 
   /// Returns the leaf-pushed version of this trie: internal prefixes are
   /// pushed down so that (a) every internal node has exactly two children
@@ -139,13 +127,12 @@ class UnibitTrie {
  private:
   UnibitTrie() = default;
 
-  /// Re-canonicalizes `nodes_` into breadth-first order, rebuilds
-  /// level_offsets_ and refreshes the flat SoA view.
+  /// Re-canonicalizes `nodes_` into breadth-first order and rebuilds
+  /// level_offsets_.
   void canonicalize();
 
   std::vector<TrieNode> nodes_;
   std::vector<std::size_t> level_offsets_;  // size level_count()+1
-  std::shared_ptr<const FlatTrie> flat_;    // always set after construction
   bool leaf_pushed_ = false;
 };
 

@@ -28,11 +28,13 @@ MergedTrie::MergedTrie(std::span<const trie::UnibitTrie* const> tries)
   // Breadth-first simultaneous walk of all K tries. A frame carries, for
   // each input trie, the index of its node at the current merged position
   // (kNullNode when that trie has no node here).
-  std::vector<net::NextHop> next_hops;  // node-major, K entries per node
+  trie::FlatMultibitTrie::BinaryFlattener flattener(vn_count_);
+  std::vector<net::NextHop> hops(vn_count_);  // the current node's
   struct Frame {
     std::vector<trie::NodeIndex> srcs;
   };
   std::deque<Frame> frontier;
+  std::size_t merged = 0;  // nodes added to the flattener so far
   {
     Frame root;
     root.srcs.assign(vn_count_, 0);  // every trie has a root
@@ -46,23 +48,22 @@ MergedTrie::MergedTrie(std::span<const trie::UnibitTrie* const> tries)
       Frame frame = std::move(frontier.front());
       frontier.pop_front();
 
-      MergedNode node;
-      std::uint16_t present = 0;
+      trie::NodeIndex left = trie::kNullNode;
+      trie::NodeIndex right = trie::kNullNode;
+      std::size_t present = 0;
       bool any_left = false;
       bool any_right = false;
       for (std::size_t v = 0; v < vn_count_; ++v) {
         const trie::NodeIndex src = frame.srcs[v];
-        net::NextHop hop = net::kNoRoute;
+        hops[v] = net::kNoRoute;
         if (src != trie::kNullNode) {
           ++present;
           const trie::TrieNode& n = tries[v]->node(src);
-          hop = n.next_hop;
+          hops[v] = n.next_hop;
           any_left = any_left || n.left != trie::kNullNode;
           any_right = any_right || n.right != trie::kNullNode;
         }
-        next_hops.push_back(hop);
       }
-      node.present_in = present;
 
       if (any_left) {
         Frame child;
@@ -73,13 +74,13 @@ MergedTrie::MergedTrie(std::span<const trie::UnibitTrie* const> tries)
                                                  : tries[v]->node(src).left;
         }
         // Child indices are assigned in frontier order. At this point
-        // nodes_ holds P + i nodes (P = nodes of all previous levels; the
-        // current node is appended below) and the frontier holds the
+        // `merged` counts P + i nodes (P = nodes of all previous levels;
+        // the current node is counted below) and the frontier holds the
         // remaining frames of this level plus the children queued so far,
         // so the child lands at P + level_size + children_so_far
-        // = nodes_.size() + frontier.size() + 1.
-        node.left = trie::checked_node_index(
-            nodes_.size() + frontier.size() + 1, "merged trie");
+        // = merged + frontier.size() + 1.
+        left = trie::checked_node_index(merged + frontier.size() + 1,
+                                        "merged trie");
         frontier.push_back(std::move(child));
       }
       if (any_right) {
@@ -90,56 +91,44 @@ MergedTrie::MergedTrie(std::span<const trie::UnibitTrie* const> tries)
           child.srcs[v] = src == trie::kNullNode ? trie::kNullNode
                                                  : tries[v]->node(src).right;
         }
-        node.right = trie::checked_node_index(
-            nodes_.size() + frontier.size() + 1, "merged trie");
+        right = trie::checked_node_index(merged + frontier.size() + 1,
+                                         "merged trie");
         frontier.push_back(std::move(child));
       }
-      nodes_.push_back(node);
+      flattener.add_node(left, right, hops);
+      ++merged;
       if (present >= 2) ++stats_.shared_any;
       if (present == vn_count_ && vn_count_ >= 2) ++stats_.shared_all;
     }
-    level_offsets_.push_back(nodes_.size());
+    level_offsets_.push_back(merged);
   }
-  stats_.merged_nodes = nodes_.size();
+  stats_.merged_nodes = merged;
 
-  std::vector<trie::NodeIndex> left;
-  std::vector<trie::NodeIndex> right;
-  left.reserve(nodes_.size());
-  right.reserve(nodes_.size());
-  for (const MergedNode& node : nodes_) {
-    left.push_back(node.left);
-    right.push_back(node.right);
-  }
-  flat_ = std::make_shared<const trie::FlatTrie>(
-      std::move(left), std::move(right), std::move(next_hops), vn_count_,
-      level_count());
+  image_ = std::make_shared<const trie::FlatMultibitTrie>(
+      std::move(flattener).finish(level_offsets_));
 }
 
 std::optional<net::NextHop> MergedTrie::lookup(net::Ipv4 addr,
                                                net::VnId vn) const {
   VR_REQUIRE(vn < vn_count_, "VNID out of range");
-  return flat_->lookup(addr, vn);
-}
-
-std::span<const MergedNode> MergedTrie::level(std::size_t l) const {
-  VR_REQUIRE(l < level_count(), "merged trie level out of range");
-  return {nodes_.data() + level_offsets_[l],
-          level_offsets_[l + 1] - level_offsets_[l]};
+  return image_->lookup(addr, vn);
 }
 
 trie::TrieStats MergedTrie::stats_as_trie() const {
   trie::TrieStats stats;
-  stats.total_nodes = nodes_.size();
+  stats.total_nodes = node_count();
   stats.height = height();
   const std::size_t levels = level_count();
   stats.nodes_per_level.assign(levels, 0);
   stats.internal_per_level.assign(levels, 0);
   stats.leaves_per_level.assign(levels, 0);
   for (std::size_t l = 0; l < levels; ++l) {
-    const auto lvl = level(l);
-    stats.nodes_per_level[l] = lvl.size();
-    for (const MergedNode& node : lvl) {
-      if (node.is_leaf()) {
+    stats.nodes_per_level[l] = level_offsets_[l + 1] - level_offsets_[l];
+    for (std::size_t n = level_offsets_[l]; n < level_offsets_[l + 1]; ++n) {
+      // narrow-ok: n < node_count(), which the image bounds by NodeIndex
+      const auto node = static_cast<trie::NodeIndex>(n);
+      if (image_->child(node, 0) == trie::kNullNode &&
+          image_->child(node, 1) == trie::kNullNode) {
         ++stats.leaves_per_level[l];
       } else {
         ++stats.internal_per_level[l];

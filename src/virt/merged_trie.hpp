@@ -12,25 +12,11 @@
 #include <vector>
 
 #include "netbase/traffic.hpp"
-#include "trie/flat_trie.hpp"
+#include "trie/flat_multibit_trie.hpp"
 #include "trie/trie_stats.hpp"
 #include "trie/unibit_trie.hpp"
 
 namespace vr::virt {
-
-/// A node of the merged trie. Per-VN next hops live in a flat pool
-/// (`MergedTrie::next_hops`) at offset node_index * K.
-struct MergedNode {
-  trie::NodeIndex left = trie::kNullNode;
-  trie::NodeIndex right = trie::kNullNode;
-  /// Number of input tries containing this node (>= 1). Used for the
-  /// structural overlap statistics.
-  std::uint16_t present_in = 0;
-
-  [[nodiscard]] bool is_leaf() const noexcept {
-    return left == trie::kNullNode && right == trie::kNullNode;
-  }
-};
 
 /// Structural sharing statistics of a merge.
 struct MergeStats {
@@ -54,8 +40,9 @@ struct MergeStats {
   [[nodiscard]] double alpha_effective(std::size_t vn_count) const noexcept;
 };
 
-/// The merged trie. Nodes are stored in breadth-first (level) order like
-/// UnibitTrie so that stage mapping works identically.
+/// The merged trie, stored as its stride-1 lookup image: nodes are numbered
+/// breadth-first like UnibitTrie's, so stage mapping works identically, and
+/// node n's children are image entries (n, 0) and (n, 1).
 class MergedTrie {
  public:
   /// Merges K tries. All inputs must be non-null; K >= 1. If the inputs
@@ -65,18 +52,7 @@ class MergedTrie {
 
   [[nodiscard]] std::size_t vn_count() const noexcept { return vn_count_; }
   [[nodiscard]] std::size_t node_count() const noexcept {
-    return nodes_.size();
-  }
-  [[nodiscard]] std::span<const MergedNode> nodes() const noexcept {
-    return nodes_;
-  }
-
-  /// Next hop of node `node` for virtual network `vn` (kNoRoute if the VN
-  /// has no route at this node). The K-wide NHI pool lives in the flat
-  /// SoA view.
-  [[nodiscard]] net::NextHop next_hop(trie::NodeIndex node, net::VnId vn)
-      const {
-    return flat_->next_hop(node, vn);
+    return image_->node_count();
   }
 
   /// Longest-prefix match for a packet of virtual network `vn`.
@@ -86,14 +62,15 @@ class MergedTrie {
   /// Batched longest-prefix match of VNID-tagged packets.
   [[nodiscard]] std::vector<net::NextHop> lookup_batch(
       std::span<const net::Packet> packets) const {
-    return flat_->lookup_batch(packets);
+    return image_->lookup_batch(packets);
   }
 
-  /// The flat structure-of-arrays view (lookup hot path).
-  [[nodiscard]] const trie::FlatTrie& flat() const noexcept { return *flat_; }
-  [[nodiscard]] std::shared_ptr<const trie::FlatTrie> flat_shared()
+  /// The stride-1 flattening of this trie (the lookup image), shared with
+  /// the pipeline views made from it: entry (n, b) holds child b of node n
+  /// and that child's K-wide next-hop vector.
+  [[nodiscard]] const std::shared_ptr<const trie::FlatMultibitTrie>& image()
       const noexcept {
-    return flat_;
+    return image_;
   }
 
   [[nodiscard]] const MergeStats& stats() const noexcept { return stats_; }
@@ -112,7 +89,6 @@ class MergedTrie {
   [[nodiscard]] std::span<const std::size_t> level_offsets() const noexcept {
     return level_offsets_;
   }
-  [[nodiscard]] std::span<const MergedNode> level(std::size_t l) const;
 
   /// Per-level structural statistics in the same shape as a single trie's
   /// (leaves carry K-wide NHI vectors, which the memory layer accounts for
@@ -121,10 +97,8 @@ class MergedTrie {
 
  private:
   std::size_t vn_count_;
-  std::vector<MergedNode> nodes_;
   std::vector<std::size_t> level_offsets_;
-  /// Flat SoA view owning the node-major K-wide next-hop pool.
-  std::shared_ptr<const trie::FlatTrie> flat_;
+  std::shared_ptr<const trie::FlatMultibitTrie> image_;
   MergeStats stats_;
 };
 

@@ -1,18 +1,17 @@
-// Differential verification of the flat stride-k multibit lookup image:
-// every consumer path (scalar lookup, prefetch-pipelined batch, the
-// pipeline simulator's stride-aware TrieView) must return exactly what the
-// UnibitTrie oracle returns over the same table, for every stride. Also
-// pins the NodeIndex narrowing guard introduced with the flatteners.
+// Differential verification of the flat lookup image: every consumer path
+// (scalar lookup, prefetch-pipelined batch, the pipeline simulator's
+// TrieView) must return exactly what the UnibitTrie oracle returns over the
+// same table, for every stride. Also pins controlled prefix expansion's
+// shape (levels, nodes, memory per stride) and the NodeIndex narrowing
+// guard of the builders.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 
 #include "common/rng.hpp"
 #include "netbase/table_gen.hpp"
 #include "pipeline/lookup_engine.hpp"
 #include "trie/flat_multibit_trie.hpp"
-#include "trie/multibit_trie.hpp"
 #include "trie/unibit_trie.hpp"
 
 namespace vr::trie {
@@ -22,15 +21,6 @@ using net::Ipv4;
 using net::Packet;
 using net::Prefix;
 using net::RoutingTable;
-
-// Force a >1 pipelining window for the whole binary (before any lookup
-// caches the distance): the unibit default of 1 would leave the
-// lane-interleaved path of FlatTrie untested, and these differential
-// tests are exactly where that path must prove itself.
-const bool kForcePipelinedBatches = [] {
-  ::setenv("VR_PREFETCH_DIST", "6", 1);
-  return true;
-}();
 
 RoutingTable gen_table(std::uint64_t seed, std::size_t prefixes = 500) {
   net::TableProfile profile;
@@ -51,7 +41,6 @@ std::vector<Ipv4> random_addrs(std::size_t count, std::uint64_t seed) {
 TEST(FlatMultibitTrieTest, RejectsBadStride) {
   const RoutingTable table = gen_table(1, 50);
   EXPECT_DEATH(FlatMultibitTrie(table, 0), "stride");
-  EXPECT_DEATH(FlatMultibitTrie(table, 1), "stride");
   EXPECT_DEATH(FlatMultibitTrie(table, 3), "stride");
   EXPECT_DEATH(FlatMultibitTrie(table, 16), "stride");
 }
@@ -113,9 +102,10 @@ TEST_P(FlatMultibitDifferential, BatchMatchesScalar) {
   const unsigned stride = GetParam();
   const RoutingTable table = gen_table(stride + 41);
   const FlatMultibitTrie flat(table, stride);
-  // Odd batch sizes stress the lane refill/compaction logic (the window
-  // never divides these evenly); 0 and 1 hit the degenerate paths.
-  for (const std::size_t size : {0u, 1u, 5u, 6u, 7u, 257u, 1000u}) {
+  // Sizes below, at and just past the 8-key lane window, and ones it does
+  // not divide, stress the lane refill/compaction logic; 0 and 1 hit the
+  // degenerate paths.
+  for (const std::size_t size : {0u, 1u, 5u, 6u, 7u, 8u, 9u, 257u, 1000u}) {
     const std::vector<Ipv4> addrs = random_addrs(size, stride * 100 + size);
     const std::vector<net::NextHop> batch = flat.lookup_batch(addrs);
     ASSERT_EQ(batch.size(), size);
@@ -123,24 +113,6 @@ TEST_P(FlatMultibitDifferential, BatchMatchesScalar) {
       const auto scalar = flat.lookup(addrs[i]);
       EXPECT_EQ(batch[i], scalar.value_or(net::kNoRoute)) << i;
     }
-  }
-}
-
-TEST_P(FlatMultibitDifferential, FlattenedMultibitTrieIsIdentical) {
-  const unsigned stride = GetParam();
-  const RoutingTable table = gen_table(stride + 42);
-  const MultibitTrie source(table, stride);
-  const FlatMultibitTrie flattened(source);
-  const FlatMultibitTrie direct(table, stride);
-  EXPECT_EQ(flattened.node_count(), source.node_count());
-  EXPECT_EQ(flattened.level_count(), source.level_count());
-  EXPECT_EQ(flattened.node_count(), direct.node_count());
-  Rng rng(stride + 7);
-  for (int i = 0; i < 2000; ++i) {
-    const Ipv4 addr(static_cast<std::uint32_t>(rng.next_u64()));
-    const auto expected = source.lookup(addr);
-    EXPECT_EQ(flattened.lookup(addr), expected);
-    EXPECT_EQ(direct.lookup(addr), expected);
   }
 }
 
@@ -177,14 +149,124 @@ TEST_P(FlatMultibitDifferential, MergedImageMatchesPerVnOracles) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Strides, FlatMultibitDifferential,
-                         ::testing::Values(2u, 4u, 8u));
+                         ::testing::Values(1u, 2u, 4u, 8u));
+
+// ------------------------------------------- controlled prefix expansion --
+
+TEST(MultibitTrieTest, RejectsBadStride) {
+  // The K-way merged builder validates the stride like the single-table
+  // one.
+  const RoutingTable table = gen_table(1, 50);
+  const std::vector<const RoutingTable*> tables{&table, &table};
+  EXPECT_DEATH(FlatMultibitTrie(tables, 0), "stride");
+  EXPECT_DEATH(FlatMultibitTrie(tables, 3), "stride");
+  EXPECT_DEATH(FlatMultibitTrie(tables, 16), "stride");
+}
+
+TEST(MultibitTrieTest, HandCheckedStride2) {
+  RoutingTable table;
+  table.add(*Prefix::parse("0.0.0.0/1"), 1);    // expands to entries 00,01
+  table.add(*Prefix::parse("192.0.0.0/2"), 2);  // entry 11
+  const FlatMultibitTrie trie(table, 2);
+  EXPECT_EQ(trie.node_count(), 1u);  // everything fits in the root
+  EXPECT_EQ(trie.lookup(Ipv4(0x00, 0, 0, 0)), 1);
+  EXPECT_EQ(trie.lookup(Ipv4(0x40, 0, 0, 0)), 1);
+  EXPECT_EQ(trie.lookup(Ipv4(0x80, 0, 0, 0)), std::nullopt);  // 10
+  EXPECT_EQ(trie.lookup(Ipv4(0xc0, 0, 0, 0)), 2);
+}
+
+TEST(MultibitTrieTest, ExpansionPrefersLongerPrefix) {
+  RoutingTable table;
+  table.add(*Prefix::parse("0.0.0.0/1"), 1);  // covers 00 and 01 at stride 2
+  table.add(*Prefix::parse("0.0.0.0/2"), 2);  // covers 00 exactly
+  const FlatMultibitTrie trie(table, 2);
+  EXPECT_EQ(trie.lookup(Ipv4(0x00, 0, 0, 0)), 2);
+  EXPECT_EQ(trie.lookup(Ipv4(0x40, 0, 0, 0)), 1);
+}
+
+TEST(MultibitTrieTest, DefaultRouteCoversEverything) {
+  RoutingTable table;
+  table.add(*Prefix::parse("0.0.0.0/0"), 7);
+  table.add(*Prefix::parse("10.0.0.0/8"), 3);
+  const FlatMultibitTrie trie(table, 4);
+  EXPECT_EQ(trie.lookup(Ipv4(10, 1, 1, 1)), 3);
+  EXPECT_EQ(trie.lookup(Ipv4(200, 1, 1, 1)), 7);
+}
+
+class MultibitLookupProperty
+    : public ::testing::TestWithParam<unsigned /*stride*/> {};
+
+TEST_P(MultibitLookupProperty, MatchesUnibitAndOracle) {
+  // The two builders agree: the table's expansion at every stride, the
+  // node-for-node flattening of its leaf-pushed trie, and the table's own
+  // linear longest-prefix match.
+  const RoutingTable table = gen_table(GetParam() + 10);
+  const FlatMultibitTrie expanded(table, GetParam());
+  const FlatMultibitTrie flattened(UnibitTrie(table).leaf_pushed());
+  Rng rng(GetParam());
+  for (int i = 0; i < 3000; ++i) {
+    const Ipv4 addr(static_cast<std::uint32_t>(rng.next_u64()));
+    const auto expected = flattened.lookup(addr);
+    EXPECT_EQ(expanded.lookup(addr), expected);
+    if (i % 10 == 0) {
+      EXPECT_EQ(expected, table.lookup(addr));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Strides, MultibitLookupProperty,
+                         ::testing::Values(1u, 2u, 4u, 8u));
+
+TEST(MultibitTrieTest, LevelCountShrinksWithStride) {
+  const RoutingTable table = gen_table(20);
+  std::size_t prev = 64;
+  for (const unsigned stride : {1u, 2u, 4u, 8u}) {
+    const FlatMultibitTrie trie(table, stride);
+    EXPECT_LT(trie.level_count(), prev);
+    EXPECT_LE(trie.level_count(), 32u / stride);
+    prev = trie.level_count();
+  }
+}
+
+TEST(MultibitTrieTest, MemoryGrowsWithStride) {
+  const RoutingTable table = gen_table(21);
+  std::uint64_t prev = 0;
+  for (const unsigned stride : {1u, 2u, 4u, 8u}) {
+    const FlatMultibitTrie trie(table, stride);
+    const std::uint64_t bits = trie.memory_bits();
+    if (stride >= 4) {
+      EXPECT_GT(bits, prev);  // expansion dominates beyond stride 2
+    }
+    prev = bits;
+  }
+}
+
+TEST(MultibitTrieTest, LevelMemorySumsToTotal) {
+  const RoutingTable table = gen_table(22);
+  const FlatMultibitTrie trie(table, 4);
+  std::uint64_t sum = 0;
+  for (const std::uint64_t bits : trie.level_memory_bits()) sum += bits;
+  EXPECT_EQ(sum, trie.memory_bits());
+  std::size_t node_sum = 0;
+  for (const std::size_t n : trie.level_node_counts()) node_sum += n;
+  EXPECT_EQ(node_sum, trie.node_count());
+}
+
+TEST(MultibitTrieTest, Stride1MatchesUnibitNodeCount) {
+  // A stride-1 expansion without leaf pushing has one 2-entry node per
+  // INTERNAL unibit node (leaves collapse into their parents' entries).
+  RoutingTable table;
+  table.add(*Prefix::parse("10.0.0.0/8"), 1);
+  const FlatMultibitTrie multibit(table, 1);
+  EXPECT_EQ(multibit.node_count(), 8u);  // internal chain of the /8 path
+  EXPECT_EQ(multibit.node_count(), UnibitTrie(table).node_count() - 1);
+}
 
 TEST(FlatMultibitPipelineTest, EngineMatchesScalarLookups) {
   const RoutingTable table = gen_table(77);
   const auto image =
       std::make_shared<const FlatMultibitTrie>(table, /*stride=*/8);
   const pipeline::TrieView view{image};
-  EXPECT_TRUE(view.is_multibit());
   EXPECT_EQ(view.stride(), 8u);
   EXPECT_EQ(view.max_levels(), 4u);
   pipeline::LookupEngine engine(view, view.level_count());

@@ -2,6 +2,7 @@
 
 #include <map>
 
+#include "common/bitops.hpp"
 #include "common/rng.hpp"
 #include "netbase/table_gen.hpp"
 #include "netbase/traffic.hpp"
@@ -138,6 +139,85 @@ TEST(LookupEngineTest, IdleStagesAreClockGated) {
   }
   EXPECT_LE(total_reads, trie.level_count());
   EXPECT_GE(total_reads, 1u);
+}
+
+/// Number of nodes on `addr`'s root-to-leaf path through `trie`: the path
+/// holds one node at each depth below this count.
+std::size_t path_length(const UnibitTrie& trie, Ipv4 addr) {
+  std::size_t depth = 0;
+  trie::NodeIndex node = 0;
+  while (node != trie::kNullNode) {
+    ++depth;
+    if (depth == 33) break;
+    node = bit_at(addr.value(), static_cast<unsigned>(depth - 1))
+               ? trie.node(node).right
+               : trie.node(node).left;
+  }
+  return depth;
+}
+
+TEST(LookupEngineTest, StageReadsFollowTheTriePathToBit32) {
+  // A /32 host route puts a trie node at depth 32, which stage 32 of a
+  // 33-stage engine must read; its neighbour key (differs only in bit 31)
+  // stops at depth 31 unless the other VN routes it.
+  constexpr std::size_t kFullDepth = 33;
+  RoutingTable vn0;
+  vn0.add(*net::Prefix::parse("0.0.0.0/0"), 1);
+  vn0.add(*net::Prefix::parse("192.168.1.77/32"), 9);
+  RoutingTable vn1;
+  vn1.add(*net::Prefix::parse("0.0.0.0/0"), 2);
+  vn1.add(*net::Prefix::parse("192.168.1.76/32"), 5);
+  const UnibitTrie trie0(vn0);
+  const UnibitTrie trie1(vn1);
+  const std::vector<const UnibitTrie*> ptrs{&trie0, &trie1};
+  const virt::MergedTrie merged{std::span<const UnibitTrie* const>(ptrs)};
+  ASSERT_EQ(trie0.level_count(), kFullDepth);
+  ASSERT_EQ(merged.level_count(), kFullDepth);
+  const std::vector<Ipv4> keys{Ipv4(192, 168, 1, 77), Ipv4(192, 168, 1, 76),
+                               Ipv4(10, 0, 0, 1)};
+
+  // One packet through an idle engine: its stage reads, its next hop.
+  const auto run_one = [&](const TrieView& view, const Packet& packet) {
+    LookupEngine engine(view, kFullDepth);
+    std::vector<LookupResult> out;
+    EXPECT_TRUE(engine.offer(packet));
+    for (std::size_t c = 0; c <= kFullDepth; ++c) engine.tick(&out);
+    EXPECT_EQ(out.size(), 1u);
+    std::vector<std::uint64_t> reads(kFullDepth);
+    for (std::size_t s = 0; s < kFullDepth; ++s) {
+      reads[s] = engine.activity().reads(packet.vnid, s);
+    }
+    return std::make_pair(reads, out.empty() ? std::nullopt
+                                             : out.front().next_hop);
+  };
+  const auto expected_reads = [](std::size_t path) {
+    std::vector<std::uint64_t> reads(kFullDepth, 0);
+    for (std::size_t s = 0; s < path; ++s) reads[s] = 1;
+    return reads;
+  };
+
+  for (const Ipv4 key : keys) {
+    const std::size_t path0 = path_length(trie0, key);
+    const auto [reads, hop] = run_one(TrieView(trie0), Packet{key, 0});
+    EXPECT_EQ(reads, expected_reads(path0)) << key.value();
+    EXPECT_EQ(hop, trie0.lookup(key)) << key.value();
+    // The merged trie has a node wherever either input trie has one, for
+    // packets of either VN.
+    const std::size_t merged_path = std::max(path0, path_length(trie1, key));
+    for (const net::VnId vn : {net::VnId{0}, net::VnId{1}}) {
+      const auto [merged_reads, merged_hop] =
+          run_one(TrieView(merged), Packet{key, vn});
+      EXPECT_EQ(merged_reads, expected_reads(merged_path))
+          << key.value() << " vn " << vn;
+      EXPECT_EQ(merged_hop, (vn == 0 ? trie0 : trie1).lookup(key));
+    }
+  }
+  // The host key reaches stage 32 in both engines, its neighbour only in
+  // the merged one; the far key reads stage 0 alone.
+  EXPECT_EQ(path_length(trie0, keys[0]), kFullDepth);
+  EXPECT_EQ(path_length(trie0, keys[1]), kFullDepth - 1);
+  EXPECT_EQ(path_length(trie1, keys[1]), kFullDepth);
+  EXPECT_EQ(path_length(trie0, keys[2]), 1u);
 }
 
 TEST(LookupEngineTest, BusyFractionTracksOfferedLoad) {

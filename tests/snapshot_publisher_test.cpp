@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/bitops.hpp"
 #include "common/rng.hpp"
 #include "netbase/table_gen.hpp"
 #include "netbase/update_gen.hpp"
@@ -19,6 +20,7 @@ namespace vr::trie {
 namespace {
 
 using net::Ipv4;
+using net::Prefix;
 using net::RoutingTable;
 using net::RouteUpdate;
 
@@ -52,19 +54,74 @@ TEST(SnapshotPublisherTest, InitialImageMatchesBaseTable) {
   }
 }
 
-TEST(SnapshotPublisherTest, EveryEpochMatchesControlPlaneRebuild) {
+/// Fails unless `got` holds exactly the arrays of `want`: the same shape,
+/// and the same child and next hop at every node and slot.
+void expect_same_image(const FlatMultibitTrie& got,
+                       const FlatMultibitTrie& want) {
+  ASSERT_EQ(got.stride(), want.stride());
+  ASSERT_EQ(got.vn_count(), want.vn_count());
+  ASSERT_EQ(got.node_count(), want.node_count());
+  ASSERT_EQ(got.level_node_counts(), want.level_node_counts());
+  for (std::size_t n = 0; n < got.node_count(); ++n) {
+    const auto node = static_cast<NodeIndex>(n);
+    for (std::size_t slot = 0; slot < got.width(); ++slot) {
+      ASSERT_EQ(got.child(node, slot), want.child(node, slot))
+          << "entry (" << n << ", " << slot << ")";
+      ASSERT_EQ(got.next_hop(node, slot), want.next_hop(node, slot))
+          << "entry (" << n << ", " << slot << ")";
+    }
+  }
+}
+
+class SnapshotPublisherStrideTest
+    : public ::testing::TestWithParam<unsigned /*stride*/> {};
+
+TEST_P(SnapshotPublisherStrideTest, EveryEpochMatchesControlPlaneRebuild) {
+  const unsigned stride = GetParam();
   const RoutingTable base = gen_table(3);
-  SnapshotPublisher publisher(base, /*stride=*/4);
+  SnapshotPublisher publisher(base, stride);
   UpdatableTrie mirror(base);  // applies the same stream independently
   const std::vector<RouteUpdate> stream = gen_updates(base, 200, 5);
   constexpr std::size_t kBatch = 50;
-  for (std::size_t b = 0; b < stream.size() / kBatch; ++b) {
-    const std::span<const RouteUpdate> batch(stream.data() + b * kBatch,
-                                             kBatch);
+  const std::size_t generated_batches = stream.size() / kBatch;
+  std::vector<std::span<const RouteUpdate>> batches;
+
+  // A hand-written hostile batch closes the stream: a withdraw of an
+  // absent prefix, a duplicate announce, /0 announced then withdrawn, a
+  // /32, and announce-withdraw-announce of one prefix.
+  const auto prefix = [](const char* text) { return *Prefix::parse(text); };
+  const Prefix absent = prefix("203.0.113.0/25");
+  const Prefix host = prefix("198.51.100.7/32");
+  const Prefix flapping = prefix("100.64.0.0/10");
+  const Prefix deflt = prefix("0.0.0.0/0");
+  ASSERT_FALSE(base.contains(absent));
+  ASSERT_FALSE(base.contains(host));
+  ASSERT_FALSE(base.contains(flapping));
+  ASSERT_FALSE(base.contains(deflt));
+  const net::Route existing = base.routes()[base.size() / 2];
+  using Kind = RouteUpdate::Kind;
+  const std::vector<RouteUpdate> hostile{
+      {Kind::kWithdraw, {absent, net::kNoRoute}},
+      {Kind::kAnnounce, existing},
+      {Kind::kAnnounce, existing},
+      {Kind::kAnnounce, {deflt, 11}},
+      {Kind::kWithdraw, {deflt, net::kNoRoute}},
+      {Kind::kAnnounce, {host, 12}},
+      {Kind::kAnnounce, {flapping, 13}},
+      {Kind::kWithdraw, {flapping, net::kNoRoute}},
+      {Kind::kAnnounce, {flapping, 14}},
+  };
+  for (std::size_t b = 0; b < generated_batches; ++b) {
+    batches.emplace_back(stream.data() + b * kBatch, kBatch);
+  }
+  batches.emplace_back(hostile);
+
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    const std::span<const RouteUpdate> batch = batches[b];
     const SnapshotPublisher::PublishReceipt receipt =
         publisher.apply_batch(batch);
     EXPECT_EQ(receipt.version, b + 1);
-    EXPECT_EQ(receipt.updates_applied, kBatch);
+    EXPECT_EQ(receipt.updates_applied, batch.size());
     EXPECT_GE(receipt.apply_ns.value(), 0.0);
     EXPECT_GE(receipt.build_ns.value(), 0.0);
     EXPECT_GE(receipt.publish_ns.value(), 0.0);
@@ -74,14 +131,40 @@ TEST(SnapshotPublisherTest, EveryEpochMatchesControlPlaneRebuild) {
     EXPECT_EQ(snap.version, b + 1);
     EXPECT_EQ(publisher.published_version(), b + 1);
     EXPECT_EQ(publisher.route_count(), mirror.route_count());
-    const FlatMultibitTrie rebuilt(mirror.to_table(), /*stride=*/4);
+    const RoutingTable table = mirror.to_table();
+    expect_same_image(*snap.image, FlatMultibitTrie(table, stride));
+    const UnibitTrie oracle(table);
     Rng rng(b);
     for (int i = 0; i < 500; ++i) {
       const Ipv4 addr(static_cast<std::uint32_t>(rng.next_u64()));
-      EXPECT_EQ(snap.image->lookup(addr), rebuilt.lookup(addr));
+      EXPECT_EQ(snap.image->lookup(addr), oracle.lookup(addr));
     }
   }
+
+  // After the hostile batch the image agrees with the oracle at the first,
+  // middle and last address of every hostile prefix, neither /0 nor the
+  // absent prefix left a route behind, and the host route and the flapped
+  // prefix carry their final hops.
+  const SnapshotPublisher::Snapshot last = publisher.acquire();
+  const RoutingTable final_table = mirror.to_table();
+  EXPECT_FALSE(final_table.contains(deflt));
+  EXPECT_FALSE(final_table.contains(absent));
+  const UnibitTrie oracle(final_table);
+  for (const Prefix& p : {absent, host, flapping, deflt, existing.prefix}) {
+    const std::uint32_t first = p.address().value();
+    const std::uint32_t span_mask = ~prefix_mask(p.length());
+    for (const std::uint32_t addr :
+         {first, first | span_mask, first | (span_mask >> 1)}) {
+      EXPECT_EQ(last.image->lookup(Ipv4(addr)), oracle.lookup(Ipv4(addr)))
+          << p.to_string() << " at " << addr;
+    }
+  }
+  EXPECT_EQ(last.image->lookup(host.address()), 12);
+  EXPECT_EQ(last.image->lookup(flapping.address()), 14);
 }
+
+INSTANTIATE_TEST_SUITE_P(Strides, SnapshotPublisherStrideTest,
+                         ::testing::Values(1u, 2u, 4u, 8u));
 
 TEST(SnapshotPublisherTest, HeldSnapshotSurvivesLaterPublishes) {
   const RoutingTable base = gen_table(7);

@@ -4,7 +4,7 @@
 
 #include "common/rng.hpp"
 #include "netbase/table_gen.hpp"
-#include "trie/flat_trie.hpp"
+#include "trie/flat_multibit_trie.hpp"
 #include "trie/memory_layout.hpp"
 #include "trie/stage_mapping.hpp"
 #include "trie/trie_stats.hpp"
@@ -358,65 +358,104 @@ TEST(MemoryLayoutTest, VnCountScalesOnlyLeaves) {
   EXPECT_EQ(eight.total_nhi_bits(), 8 * one.total_nhi_bits());
 }
 
-// ---------------------------------------------------------- flat SoA view --
+// ------------------------------------------------- stride-1 flattening --
+// FlatMultibitTrie(const UnibitTrie&) keeps every node at its breadth-first
+// index: entry (n, b) holds child b of n and that child's next hop, and the
+// root's own hop backs the root entries whose child has none.
 
 TEST(FlatTrieTest, EmptyTableFlatViewIsRootOnly) {
   const UnibitTrie trie((RoutingTable()));
-  const FlatTrie& flat = trie.flat();
+  const FlatMultibitTrie flat(trie);
+  EXPECT_EQ(flat.stride(), 1u);
   EXPECT_EQ(flat.node_count(), 1u);
   EXPECT_EQ(flat.level_count(), 1u);
   EXPECT_EQ(flat.vn_count(), 1u);
-  EXPECT_EQ(flat.left(0), kNullNode);
-  EXPECT_EQ(flat.right(0), kNullNode);
+  EXPECT_EQ(flat.child(0, 0), kNullNode);
+  EXPECT_EQ(flat.child(0, 1), kNullNode);
   EXPECT_EQ(flat.lookup(Ipv4(1, 2, 3, 4)), std::nullopt);
 }
 
 TEST(FlatTrieTest, MirrorsSourceTrieNodeForNode) {
   const net::SyntheticTableGenerator gen(net::TableProfile::edge_default());
-  const UnibitTrie trie(gen.generate(3));
-  const FlatTrie& flat = trie.flat();
+  RoutingTable table = gen.generate(3);
+  table.add(*Prefix::parse("0.0.0.0/0"), 9);  // the root carries a hop too
+  const UnibitTrie trie(table);
+  const FlatMultibitTrie flat(trie);
   const std::span<const TrieNode> nodes = trie.nodes();
   ASSERT_EQ(flat.node_count(), nodes.size());
-  EXPECT_EQ(flat.level_count(), trie.level_count());
+  ASSERT_EQ(flat.level_count(), trie.level_count());
+  for (std::size_t l = 0; l < trie.level_count(); ++l) {
+    EXPECT_EQ(flat.level_node_counts()[l], trie.level(l).size()) << l;
+  }
   for (std::size_t n = 0; n < nodes.size(); ++n) {
     const NodeIndex idx = static_cast<NodeIndex>(n);
-    EXPECT_EQ(flat.left(idx), nodes[n].left);
-    EXPECT_EQ(flat.right(idx), nodes[n].right);
-    EXPECT_EQ(flat.next_hop(idx), nodes[n].next_hop);
+    const NodeIndex children[2] = {nodes[n].left, nodes[n].right};
+    for (std::size_t b = 0; b < 2; ++b) {
+      EXPECT_EQ(flat.child(idx, b), children[b]);
+      net::NextHop expected = children[b] == kNullNode
+                                  ? net::kNoRoute
+                                  : nodes[children[b]].next_hop;
+      if (n == 0 && expected == net::kNoRoute) expected = nodes[0].next_hop;
+      EXPECT_EQ(flat.next_hop(idx, b), expected) << n << '/' << b;
+    }
   }
 }
 
 TEST(FlatTrieTest, LookupMatchesRoutingTableReference) {
   // The routing table's linear longest-prefix match is an independent
-  // reference implementation for the flat traversal.
+  // reference implementation for both the trie walk and its flattening.
   const net::SyntheticTableGenerator gen(net::TableProfile::edge_default());
   const RoutingTable table = gen.generate(4);
   const UnibitTrie trie(table);
+  const FlatMultibitTrie flat(trie);
   Rng rng(11);
   for (int i = 0; i < 5000; ++i) {
     const Ipv4 addr(static_cast<std::uint32_t>(rng.next_u64()));
-    EXPECT_EQ(trie.flat().lookup(addr), table.lookup(addr));
+    EXPECT_EQ(trie.lookup(addr), table.lookup(addr));
+    EXPECT_EQ(flat.lookup(addr), table.lookup(addr));
   }
 }
 
 TEST(FlatTrieTest, BatchMatchesScalarLoop) {
   const net::SyntheticTableGenerator gen(net::TableProfile::edge_default());
   const UnibitTrie trie = UnibitTrie(gen.generate(5)).leaf_pushed();
+  const FlatMultibitTrie flat(trie);
   Rng rng(12);
   std::vector<Ipv4> addrs;
   for (int i = 0; i < 4096; ++i) {
     addrs.emplace_back(static_cast<std::uint32_t>(rng.next_u64()));
   }
-  const std::vector<net::NextHop> batch = trie.lookup_batch(addrs);
+  const std::vector<net::NextHop> batch = flat.lookup_batch(addrs);
   ASSERT_EQ(batch.size(), addrs.size());
+  EXPECT_EQ(trie.lookup_batch(addrs), batch);
   for (std::size_t i = 0; i < addrs.size(); ++i) {
-    const std::optional<net::NextHop> scalar = trie.lookup(addrs[i]);
-    if (scalar.has_value()) {
-      EXPECT_EQ(batch[i], *scalar);
-    } else {
-      EXPECT_EQ(batch[i], net::kNoRoute);
-    }
+    EXPECT_EQ(batch[i], trie.lookup(addrs[i]).value_or(net::kNoRoute)) << i;
   }
+}
+
+TEST(FlatTrieTest, FlatteningGuardsItsInput) {
+  using Flattener = FlatMultibitTrie::BinaryFlattener;
+  const std::vector<std::size_t> one_level{0, 1};
+  const std::vector<std::size_t> two_levels{0, 1, 2};
+  const net::NextHop none = net::kNoRoute;
+  const std::vector<net::NextHop> two_hops{none, 3};
+  const auto root_only = [&](NodeIndex left) {
+    Flattener flattener(1);
+    flattener.add_node(left, kNullNode, {&none, 1});
+    return flattener;
+  };
+  EXPECT_DEATH(Flattener(0), "at least one VN");
+  EXPECT_DEATH((void)Flattener(1).finish(one_level), "root");
+  EXPECT_DEATH(Flattener(1).add_node(kNullNode, kNullNode, two_hops),
+               "one next hop per VN");
+  EXPECT_DEATH((void)root_only(kNullNode).finish(two_levels),
+               "level offsets");
+  // The root points at node 1, which never arrives.
+  EXPECT_DEATH((void)root_only(1).finish(one_level),
+               "child index out of range");
+  // Node 1 arrives where the root's entry names node 2.
+  EXPECT_DEATH(root_only(2).add_node(kNullNode, kNullNode, {&none, 1}),
+               "breadth-first order");
 }
 
 }  // namespace

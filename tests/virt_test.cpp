@@ -92,7 +92,7 @@ TEST(MergedTrieTest, LevelOffsetsConsistent) {
   EXPECT_EQ(offsets.back(), merged.node_count());
   std::size_t total = 0;
   for (std::size_t l = 0; l < merged.level_count(); ++l) {
-    total += merged.level(l).size();
+    total += merged.image()->level_node_counts()[l];
   }
   EXPECT_EQ(total, merged.node_count());
 }
@@ -104,8 +104,9 @@ TEST(MergedTrieTest, ChildIndicesPointToNextLevel) {
   const auto offsets = merged.level_offsets();
   for (std::size_t l = 0; l + 1 < merged.level_count(); ++l) {
     for (std::size_t i = offsets[l]; i < offsets[l + 1]; ++i) {
-      const MergedNode& node = merged.nodes()[i];
-      for (const trie::NodeIndex child : {node.left, node.right}) {
+      const auto node = static_cast<trie::NodeIndex>(i);
+      for (const std::size_t slot : {0u, 1u}) {
+        const trie::NodeIndex child = merged.image()->child(node, slot);
         if (child == trie::kNullNode) continue;
         EXPECT_GE(child, offsets[l + 1]);
         EXPECT_LT(child, offsets[l + 2]);
@@ -191,11 +192,15 @@ TEST(MergedTrieTest, LeafPushedInputsYieldFullMergedInternalNodes) {
   const auto tables = sample_tables(3, 300, 8);
   const auto tries = build_tries(tables, true);
   const MergedTrie merged = merge(tries);
-  for (const MergedNode& node : merged.nodes()) {
-    if (!node.is_leaf()) {
+  const trie::FlatMultibitTrie& image = *merged.image();
+  for (std::size_t n = 0; n < merged.node_count(); ++n) {
+    const auto node = static_cast<trie::NodeIndex>(n);
+    const trie::NodeIndex left = image.child(node, 0);
+    const trie::NodeIndex right = image.child(node, 1);
+    if (left != trie::kNullNode || right != trie::kNullNode) {
       // Merging full binary tries preserves two-children internal nodes.
-      EXPECT_NE(node.left, trie::kNullNode);
-      EXPECT_NE(node.right, trie::kNullNode);
+      EXPECT_NE(left, trie::kNullNode);
+      EXPECT_NE(right, trie::kNullNode);
     }
   }
 }
