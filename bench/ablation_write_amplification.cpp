@@ -33,7 +33,7 @@ int main() {
   trie::UpdatableTrie incremental(current);
 
   for (const net::RouteUpdate& update : stream) {
-    const trie::UpdateCost cost = incremental.apply(update);
+    const trie::UpdateCost cost = incremental.apply(0, update);
     if (update.kind == net::RouteUpdate::Kind::kAnnounce) {
       current.add(update.route);
     } else {

@@ -151,7 +151,7 @@ void BM_IncrementalUpdate(benchmark::State& state) {
   trie::UpdatableTrie trie(base);
   std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(trie.apply(stream[i]).words_written);
+    benchmark::DoNotOptimize(trie.apply(0, stream[i]).words_written);
     i = (i + 1) % stream.size();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));

@@ -11,8 +11,8 @@
 #include "common/table.hpp"
 #include "core/estimator.hpp"
 #include "netbase/update_gen.hpp"
+#include "trie/updatable_trie.hpp"
 #include "virt/table_set_gen.hpp"
-#include "virt/updatable_merged.hpp"
 
 int main() {
   using namespace vr;
@@ -35,7 +35,7 @@ int main() {
   }
   std::vector<const net::RoutingTable*> ptrs;
   for (const auto& t : tables) ptrs.push_back(&t);
-  virt::UpdatableMergedTrie merged{
+  trie::UpdatableTrie merged{
       std::span<const net::RoutingTable* const>(ptrs)};
 
   const core::PowerEstimator estimator{fpga::DeviceSpec::xc6vlx760()};

@@ -34,7 +34,9 @@ class UpdateStreamGenerator {
   explicit UpdateStreamGenerator(UpdateStreamConfig config);
 
   /// Builds a stream starting from `base`. The returned updates, applied
-  /// in order to `base`, keep the table valid at every step.
+  /// in order to `base`, keep the table valid at every step. Aborts if the
+  /// stream stalls short of update_count: no positive-weight operation can
+  /// emit an update (empty table, spent fresh-prefix pool, single next hop).
   [[nodiscard]] std::vector<RouteUpdate> generate(
       const RoutingTable& base, std::uint64_t seed) const;
 

@@ -51,12 +51,12 @@ SnapshotPublisher::PublishReceipt SnapshotPublisher::apply_batch(
 
   const auto apply_start = std::chrono::steady_clock::now();
   for (const net::RouteUpdate& update : updates) {
-    receipt.cost += control_.apply(update);
+    receipt.cost += control_.apply(0, update);
   }
   receipt.apply_ns = obs::since(apply_start);
 
   const auto build_start = std::chrono::steady_clock::now();
-  auto image = std::make_shared<const FlatMultibitTrie>(control_.to_table(),
+  auto image = std::make_shared<const FlatMultibitTrie>(control_.table_of(0),
                                                         stride_);
   receipt.build_ns = obs::since(build_start);
 

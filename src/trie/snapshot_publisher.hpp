@@ -80,7 +80,7 @@ class SnapshotPublisher {
   [[nodiscard]] unsigned stride() const noexcept { return stride_; }
   /// Routes currently installed in the control plane.
   [[nodiscard]] std::size_t route_count() const noexcept {
-    return control_.route_count();
+    return control_.route_count(0);
   }
 
  private:
@@ -88,7 +88,7 @@ class SnapshotPublisher {
                std::uint64_t version);
 
   unsigned stride_;
-  UpdatableTrie control_;  // writer-owned control-plane state
+  UpdatableTrie control_;  // writer-owned control plane, one VN
 
   mutable std::mutex publish_mutex_;  // also orders version_ stores
   // guarded_by(publish_mutex_)

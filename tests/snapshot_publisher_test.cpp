@@ -125,13 +125,13 @@ TEST_P(SnapshotPublisherStrideTest, EveryEpochMatchesControlPlaneRebuild) {
     EXPECT_GE(receipt.apply_ns.value(), 0.0);
     EXPECT_GE(receipt.build_ns.value(), 0.0);
     EXPECT_GE(receipt.publish_ns.value(), 0.0);
-    for (const RouteUpdate& update : batch) (void)mirror.apply(update);
+    for (const RouteUpdate& update : batch) (void)mirror.apply(0, update);
 
     const SnapshotPublisher::Snapshot snap = publisher.acquire();
     EXPECT_EQ(snap.version, b + 1);
     EXPECT_EQ(publisher.published_version(), b + 1);
-    EXPECT_EQ(publisher.route_count(), mirror.route_count());
-    const RoutingTable table = mirror.to_table();
+    EXPECT_EQ(publisher.route_count(), mirror.route_count(0));
+    const RoutingTable table = mirror.table_of(0);
     expect_same_image(*snap.image, FlatMultibitTrie(table, stride));
     const UnibitTrie oracle(table);
     Rng rng(b);
@@ -146,7 +146,7 @@ TEST_P(SnapshotPublisherStrideTest, EveryEpochMatchesControlPlaneRebuild) {
   // absent prefix left a route behind, and the host route and the flapped
   // prefix carry their final hops.
   const SnapshotPublisher::Snapshot last = publisher.acquire();
-  const RoutingTable final_table = mirror.to_table();
+  const RoutingTable final_table = mirror.table_of(0);
   EXPECT_FALSE(final_table.contains(deflt));
   EXPECT_FALSE(final_table.contains(absent));
   const UnibitTrie oracle(final_table);
