@@ -26,7 +26,25 @@
 #include "obs/registry.hpp"
 #include "obs/sink.hpp"
 
+// The build a report binary was compiled from; bench/CMakeLists.txt sets
+// both for the report binaries at configure time.
+#ifndef VR_BUILD_COMMIT
+#define VR_BUILD_COMMIT "unknown"
+#endif
+#ifndef VR_BUILD_TYPE
+#define VR_BUILD_TYPE "unknown"
+#endif
+
 namespace vr::bench {
+
+/// JSON object naming what a report was measured on: the source commit
+/// (`-dirty` when the tree had uncommitted changes, `unknown` outside a git
+/// checkout), the CMake build type and the probed CPU count.
+inline std::string build_stamp_json(std::size_t cpus) {
+  return std::string("{\"commit\": \"") + VR_BUILD_COMMIT +
+         "\", \"build_type\": \"" + VR_BUILD_TYPE +
+         "\", \"cpus\": " + std::to_string(cpus) + "}";
+}
 
 /// Consumes a `--metrics[=path]` argument if present: registers an atexit
 /// hook that serializes obs::Registry::global() to the JSON file. Safe to

@@ -2,7 +2,8 @@
 // lookup section of perf_sweep): deterministic key generation, wall-clock
 // Mlookups/s measurement of any batched lookup callable (single- and
 // multi-threaded), the per-stride image rows and a publisher-churn driver
-// reporting publish-latency percentiles. Header-only so both binaries measure the exact same way.
+// reporting publish-latency percentiles and their apply/build/swap split.
+// Header-only so both binaries measure the exact same way.
 #pragma once
 
 #include <chrono>
@@ -141,13 +142,18 @@ struct ChurnResult {
   std::size_t updates_per_batch = 0;
   double publish_p50_us = 0.0;
   double publish_p99_us = 0.0;
-  double apply_share = 0.0;  ///< fraction of publish time spent updating
+  /// Medians of the PublishReceipt split: control-plane apply, image
+  /// build (patch plus copy) and pointer swap.
+  double apply_p50_us = 0.0;
+  double build_p50_us = 0.0;
+  double swap_p50_us = 0.0;
   std::uint64_t final_version = 0;
 };
 
 /// Drives `batches` churn batches of `updates_per_batch` updates through
 /// the publisher and reports publish-latency percentiles (end-to-end:
-/// control-plane apply + image rebuild + pointer swap) in microseconds.
+/// control-plane apply + image build + pointer swap) and the median of
+/// each part, in microseconds.
 inline ChurnResult publisher_churn(trie::SnapshotPublisher& publisher,
                                    const net::RoutingTable& base,
                                    std::size_t batches,
@@ -161,24 +167,25 @@ inline ChurnResult publisher_churn(trie::SnapshotPublisher& publisher,
   const std::vector<net::RouteUpdate> stream =
       net::UpdateStreamGenerator(config).generate(base, seed);
   std::vector<double> publish_us;
-  publish_us.reserve(batches);
-  double total_ns = 0.0;
-  double apply_ns = 0.0;
+  std::vector<double> apply_us;
+  std::vector<double> build_us;
+  std::vector<double> swap_us;
   for (std::size_t b = 0; b < batches; ++b) {
     const std::span<const net::RouteUpdate> batch(
         stream.data() + b * updates_per_batch, updates_per_batch);
     const trie::SnapshotPublisher::PublishReceipt receipt =
         publisher.apply_batch(batch);
-    const double ns = receipt.apply_ns.value() + receipt.build_ns.value() +
-                      receipt.publish_ns.value();
-    publish_us.push_back(ns / 1e3);
-    total_ns += ns;
-    apply_ns += receipt.apply_ns.value();
+    apply_us.push_back(receipt.apply_ns.value() / 1e3);
+    build_us.push_back(receipt.build_ns.value() / 1e3);
+    swap_us.push_back(receipt.publish_ns.value() / 1e3);
+    publish_us.push_back(apply_us.back() + build_us.back() + swap_us.back());
   }
   const Percentiles percentiles(publish_us);
   out.publish_p50_us = percentiles.at(0.50);
   out.publish_p99_us = percentiles.at(0.99);
-  out.apply_share = total_ns <= 0.0 ? 0.0 : apply_ns / total_ns;
+  out.apply_p50_us = Percentiles(apply_us).at(0.50);
+  out.build_p50_us = Percentiles(build_us).at(0.50);
+  out.swap_p50_us = Percentiles(swap_us).at(0.50);
   out.final_version = publisher.published_version();
   return out;
 }

@@ -6,10 +6,11 @@
 //   2. multi-threaded scaling of the fastest image (aggregate and
 //      per-thread Mlookups/s across the probed concurrency);
 //   3. concurrent route updates through the snapshot publisher: publish
-//      latency percentiles under BGP-churn batches, plus the staleness a
-//      concurrent reader actually observes.
+//      latency percentiles under BGP-churn batches with their median
+//      apply/build/swap split, plus the staleness a concurrent reader
+//      actually observes.
 // Emits a table on stdout and machine-readable JSON (default
-// BENCH_lookup.json).
+// BENCH_lookup.json; the checked-in report is bench/BENCH_lookup.json).
 //
 // Flags: --threads N (reader pool; default: probed concurrency),
 // --output FILE, --quick (smaller table and fewer keys for CI smoke use),
@@ -156,9 +157,10 @@ int main(int argc, char** argv) {
             << batches << " x " << updates_per_batch
             << " updates): p50 " << TextTable::num(churn.publish_p50_us, 1)
             << " us, p99 " << TextTable::num(churn.publish_p99_us, 1)
-            << " us per publish (" << TextTable::num(churn.apply_share * 100,
-                                                     1)
-            << "% control-plane apply)\n"
+            << " us per publish; p50 split: apply "
+            << TextTable::num(churn.apply_p50_us, 1) << " us, build "
+            << TextTable::num(churn.build_p50_us, 1) << " us, swap "
+            << TextTable::num(churn.swap_p50_us, 2) << " us\n"
             << "concurrent reader: " << staleness.snapshots_read
             << " snapshots read, max staleness " << staleness.max_staleness
             << " publishes behind\n";
@@ -167,6 +169,7 @@ int main(int argc, char** argv) {
   std::ofstream json(output);
   json << "{\n"
        << "  \"benchmark\": \"perf_lookup\",\n"
+       << "  \"build\": " << bench::build_stamp_json(probe.threads) << ",\n"
        << "  \"profile\": \"" << (quick ? "quick" : "paper") << "\",\n"
        << "  \"prefix_count\": " << profile.prefix_count << ",\n"
        << "  \"key_count\": " << key_count << ",\n"
@@ -190,6 +193,12 @@ int main(int argc, char** argv) {
        << TextTable::num(churn.publish_p50_us, 3) << ",\n"
        << "  \"update_publish_p99_us\": "
        << TextTable::num(churn.publish_p99_us, 3) << ",\n"
+       << "  \"update_apply_p50_us\": "
+       << TextTable::num(churn.apply_p50_us, 3) << ",\n"
+       << "  \"update_build_p50_us\": "
+       << TextTable::num(churn.build_p50_us, 3) << ",\n"
+       << "  \"update_swap_p50_us\": "
+       << TextTable::num(churn.swap_p50_us, 3) << ",\n"
        << "  \"reader_snapshots\": " << staleness.snapshots_read << ",\n"
        << "  \"reader_max_staleness\": " << staleness.max_staleness << ",\n"
        << "  \"metrics\": "

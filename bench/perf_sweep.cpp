@@ -6,13 +6,16 @@
 //   3. parallel-warm:   same builder against the warm cache
 // It also cross-checks that all three runs produce byte-identical CSV (the
 // determinism contract of SweepRunner + WorkloadCache) and measures the
-// flat-SoA batched-lookup throughput. Exits non-zero if outputs diverge.
+// flat lookup image's single-thread batched throughput by stride (thread
+// scaling and publish latency are perf_lookup's). Exits non-zero if
+// outputs diverge.
 //
-// Flags: --threads N, --output FILE (default BENCH_sweep.json), --quick
-// (reduced table/sweep for CI smoke use). The obs registry (cache hit
-// rate, per-task sweep timing, dataplane drop/latency stats) is embedded
-// in the JSON under "metrics"; --metrics[=path] additionally dumps it to
-// its own file.
+// Flags: --threads N, --output FILE (default BENCH_sweep.json; the
+// checked-in report is bench/BENCH_sweep.json), --quick (reduced
+// table/sweep for CI smoke use). The obs registry (cache hit rate,
+// per-task sweep timing, dataplane drop/latency stats) is embedded in the
+// JSON under "metrics"; --metrics[=path] additionally dumps it to its own
+// file.
 #include <chrono>
 #include <fstream>
 #include <sstream>
@@ -25,8 +28,6 @@
 #include "dataplane/full_router.hpp"
 #include "lookup_bench.hpp"
 #include "netbase/table_gen.hpp"
-#include "trie/flat_multibit_trie.hpp"
-#include "trie/snapshot_publisher.hpp"
 #include "trie/unibit_trie.hpp"
 
 namespace {
@@ -51,41 +52,21 @@ std::string regenerate(const vr::core::FigureBuilder& builder) {
   return os.str();
 }
 
-/// The lookup-path numbers perf_sweep records next to the figure timings
-/// (perf_lookup measures the same quantities in more depth).
-struct LookupSection {
-  std::vector<vr::bench::StrideRow> strides;  ///< strides 1, 2, 4, 8
-  double per_thread_mlps = 0.0;  ///< stride-8 image across the pool
-  double update_publish_p99_us = 0.0;
-};
-
-/// Measures the lookup image's batched path at strides 1/2/4/8, stride-8
-/// thread scaling and one churn run on the bench's own table profile.
-LookupSection lookup_section(const vr::core::FigureOptions& opt, bool quick,
-                             std::size_t pool) {
+/// Single-thread batched Mlookups/s of the lookup image at strides
+/// 1/2/4/8 on the bench's own table profile.
+std::vector<vr::bench::StrideRow> lookup_strides(
+    const vr::core::FigureOptions& opt, bool quick) {
   using namespace vr;
-  LookupSection out;
   const net::RoutingTable table =
       net::SyntheticTableGenerator(opt.table_profile).generate(opt.seed);
   const std::size_t key_count = quick ? (1u << 16) : (1u << 20);
   const unsigned reps = quick ? 2 : 3;
   const std::vector<net::Ipv4> addrs = bench::random_addresses(key_count, 42);
   std::uint64_t sink = 0;
-
-  out.strides = bench::stride_rows(table, addrs, reps, &sink);
-  const trie::FlatMultibitTrie multibit(table, /*stride=*/8);
-  const bench::ThreadedMlps scaling = bench::threaded_mlps(
-      addrs, [&] { return multibit.lookup_batch(addrs); }, pool, reps,
-      &sink);
-  out.per_thread_mlps = scaling.per_thread_mlps;
-
-  trie::SnapshotPublisher publisher(table, /*stride=*/8);
-  const bench::ChurnResult churn = bench::publisher_churn(
-      publisher, table, /*batches=*/quick ? 8 : 32,
-      /*updates_per_batch=*/64, /*seed=*/7);
-  out.update_publish_p99_us = churn.publish_p99_us;
+  std::vector<bench::StrideRow> rows =
+      bench::stride_rows(table, addrs, reps, &sink);
   if (sink == 0xdeadbeef) std::cerr << "";  // defeat DCE, never taken
-  return out;
+  return rows;
 }
 
 /// One small deterministic end-to-end dataplane run (3 VNs, separate
@@ -183,9 +164,8 @@ int main(int argc, char** argv) {
       serial_csv == parallel_csv && parallel_csv == warm_csv;
   const double speedup_cold = serial_ms / parallel_cold_ms;
   const double speedup_warm = serial_ms / parallel_warm_ms;
-  const LookupSection lookup = lookup_section(base, quick, parallel_threads);
-  const double mlps = lookup.strides.front().mlps;
-  const double stride8_mlps = lookup.strides.back().mlps;
+  const std::vector<bench::StrideRow> strides = lookup_strides(base, quick);
+  const double mlps = strides.front().mlps;
   const dataplane::FullRouterResult dataplane = dataplane_phase(quick);
 
   TextTable table("perf_sweep - full Figs. 5-8 regeneration, both grades" +
@@ -206,15 +186,10 @@ int main(int argc, char** argv) {
             << "workload cache: " << cold_stats.hits << " hits / "
             << cold_stats.misses << " misses on the cold parallel run\n"
             << "flat image batched lookup, Mlookups/s by stride:";
-  for (const bench::StrideRow& row : lookup.strides) {
+  for (const bench::StrideRow& row : strides) {
     std::cout << ' ' << row.stride << ": " << TextTable::num(row.mlps, 2);
   }
-  std::cout << "; stride 8 " << TextTable::num(lookup.per_thread_mlps, 2)
-            << " per thread (" << parallel_threads << " threads)\n"
-            << "snapshot publisher: p99 "
-            << TextTable::num(lookup.update_publish_p99_us, 1)
-            << " us per publish\n"
-            << "dataplane phase: " << dataplane.scheduler.transmitted
+  std::cout << "\ndataplane phase: " << dataplane.scheduler.transmitted
             << " transmitted / " << dataplane.scheduler.tail_drops
             << " tail drops, p99 egress wait "
             << TextTable::num(dataplane.egress_wait.quantile(0.99), 1)
@@ -223,6 +198,7 @@ int main(int argc, char** argv) {
   std::ofstream json(output);
   json << "{\n"
        << "  \"benchmark\": \"perf_sweep\",\n"
+       << "  \"build\": " << bench::build_stamp_json(probe.threads) << ",\n"
        << "  \"profile\": \"" << (quick ? "quick" : "paper") << "\",\n"
        << "  \"figures\": [\"fig5\", \"fig6\", \"fig7\", \"fig8\"],\n"
        << "  \"grades\": [\"-2\", \"-1L\"],\n"
@@ -243,12 +219,6 @@ int main(int argc, char** argv) {
        << "  \"cache_hits\": " << cold_stats.hits << ",\n"
        << "  \"cache_misses\": " << cold_stats.misses << ",\n"
        << "  \"batched_lookup_mlps\": " << TextTable::num(mlps, 3) << ",\n"
-       << "  \"lookup_mlps_multibit\": " << TextTable::num(stride8_mlps, 3)
-       << ",\n"
-       << "  \"lookup_mlps_per_thread\": "
-       << TextTable::num(lookup.per_thread_mlps, 3) << ",\n"
-       << "  \"update_publish_p99_us\": "
-       << TextTable::num(lookup.update_publish_p99_us, 3) << ",\n"
        << "  \"metrics\": "
        << obs::MetricsSink(obs::Registry::global()).json(2) << "\n"
        << "}\n";

@@ -38,6 +38,7 @@ void publish_run_metrics(const CycleResult& result) {
 CycleRouter::CycleRouter(pipeline::VirtualRouter& lookup, CycleConfig config)
     : config_(config),
       lookup_(&lookup),
+      parser_(config.vc.vn_count),
       scheduler_(config.scheduler),
       allocator_(config.vc) {
   VR_REQUIRE(config_.vc.vn_count == config_.scheduler.vn_count,

@@ -91,7 +91,7 @@ FullRouterResult run_full_router(pipeline::VirtualRouter& lookup,
             });
 
   FullRouterResult result;
-  Parser parser;
+  Parser parser(lookup.vn_count());
   Editor editor;
   DrrScheduler scheduler(config.scheduler);
   VR_REQUIRE(lookup.engine_count() >= 1, "router needs at least one engine");

@@ -2,8 +2,15 @@
 
 namespace vr::dataplane {
 
+bool Parser::known_vn(net::VnId vnid) noexcept {
+  if (vnid < vn_count_) return true;
+  ++stats_.bad_vnid;
+  return false;
+}
+
 std::optional<ParsedPacket> Parser::parse(
     net::VnId vnid, std::span<const std::uint8_t> bytes) {
+  if (!known_vn(vnid)) return std::nullopt;
   const auto header = net::Ipv4Header::parse(bytes);
   if (!header) {
     ++stats_.malformed;
@@ -23,6 +30,7 @@ std::optional<ParsedPacket> Parser::parse(
 std::optional<ParsedPacket> Parser::accept(net::VnId vnid,
                                            const net::Ipv4Header& header,
                                            std::uint16_t payload_bytes) {
+  if (!known_vn(vnid)) return std::nullopt;
   if (!header.verify_checksum()) {
     ++stats_.bad_checksum;
     return std::nullopt;

@@ -15,6 +15,9 @@ namespace {
 /// dependent-load latency of a stride-8 walk (bench/perf_lookup).
 constexpr unsigned kBatchWindow = 8;
 
+/// Writer::parents_ entry of the root, which no entry points to.
+constexpr std::size_t kNoParent = ~std::size_t{0};
+
 /// Portable prefetch-for-read hint; compiles to nothing when the builtin
 /// is unavailable.
 inline void prefetch_read(const void* address) noexcept {
@@ -53,80 +56,6 @@ FlatMultibitTrie::FlatMultibitTrie(unsigned stride, std::size_t vn_count)
   VR_REQUIRE(vn_count_ <= 0xffffu, "VN count exceeds the VNID width");
 }
 
-/// Build-time scaffolding of controlled prefix expansion: the image under
-/// construction plus the per-entry per-VN expanded-route lengths that break
-/// ties (longer original prefixes win). The lengths are discarded once
-/// every route is inserted.
-struct FlatMultibitTrie::Builder {
-  FlatMultibitTrie image;
-  std::vector<std::uint8_t> route_lens;  // parallel to image.next_hops_
-
-  Builder(unsigned stride, std::size_t vn_count) : image(stride, vn_count) {
-    allocate(0);
-  }
-
-  NodeIndex allocate(std::size_t level) {
-    const NodeIndex index =
-        checked_node_index(image.node_count(), "flat multibit trie");
-    image.children_.insert(image.children_.end(), image.width_, kNullNode);
-    image.next_hops_.insert(image.next_hops_.end(),
-                            image.width_ * image.vn_count_, net::kNoRoute);
-    route_lens.insert(route_lens.end(), image.width_ * image.vn_count_, 0);
-    std::vector<std::size_t>& counts = image.level_node_counts_;
-    if (counts.size() <= level) counts.resize(level + 1, 0);
-    ++counts[level];
-    return index;
-  }
-
-  [[nodiscard]] NodeIndex& child_ref(NodeIndex node, std::size_t slot) {
-    return image.children_[static_cast<std::size_t>(node) * image.width_ +
-                           slot];
-  }
-
-  /// Inserts one route of virtual network `vn` into the VN's own lane of
-  /// the K-wide next-hop vectors. Structural nodes are shared across VNs
-  /// (a node exists wherever any VN needs one).
-  void insert(net::VnId vn, const net::Route& route) {
-    const unsigned stride = image.stride_;
-    const unsigned length = route.prefix.length();
-    const std::uint32_t addr = route.prefix.address().value();
-    NodeIndex current = 0;
-    unsigned consumed = 0;
-    while (length - consumed > stride) {
-      const std::size_t slot =
-          (addr >> (32u - consumed - stride)) & image.slot_mask_;
-      if (child_ref(current, slot) == kNullNode) {
-        const NodeIndex fresh = allocate(consumed / stride + 1);
-        child_ref(current, slot) = fresh;
-      }
-      current = child_ref(current, slot);
-      consumed += stride;
-    }
-    // Controlled prefix expansion of the final (possibly partial) stride:
-    // the route covers 2^(stride - r) consecutive slots. A covered slot is
-    // overwritten when empty or when this route's original prefix is at
-    // least as long as the one already expanded there (r == 0 only for the
-    // default route, which therefore never displaces a real route).
-    const unsigned r = length - consumed;
-    const std::size_t base =
-        r == 0 ? 0
-               : ((addr >> (32u - consumed - stride)) & image.slot_mask_ &
-                  ~((1u << (stride - r)) - 1u));
-    const std::size_t span = std::size_t{1} << (stride - r);
-    const std::size_t node_base =
-        static_cast<std::size_t>(current) * image.width_;
-    for (std::size_t i = 0; i < span; ++i) {
-      const std::size_t e =
-          (node_base + base + i) * image.vn_count_ + vn;
-      if (image.next_hops_[e] == net::kNoRoute || route_lens[e] <= length) {
-        image.next_hops_[e] = route.next_hop;
-        // narrow-ok: an IPv4 prefix length is at most 32
-        route_lens[e] = static_cast<std::uint8_t>(length);
-      }
-    }
-  }
-};
-
 FlatMultibitTrie::FlatMultibitTrie(const net::RoutingTable& table,
                                    unsigned stride)
     : FlatMultibitTrie(std::span<const net::RoutingTable* const>(
@@ -135,15 +64,160 @@ FlatMultibitTrie::FlatMultibitTrie(const net::RoutingTable& table,
 
 FlatMultibitTrie::FlatMultibitTrie(
     std::span<const net::RoutingTable* const> tables, unsigned stride)
-    : FlatMultibitTrie(stride, tables.size()) {
-  Builder builder(stride, tables.size());
+    : FlatMultibitTrie(Writer(tables, stride).release()) {}
+
+FlatMultibitTrie::Writer::Writer(unsigned stride, std::size_t vn_count)
+    : image_(stride, vn_count) {
+  allocate(0, kNoParent);
+}
+
+FlatMultibitTrie::Writer::Writer(
+    std::span<const net::RoutingTable* const> tables, unsigned stride)
+    : Writer(stride, tables.size()) {
   for (std::size_t v = 0; v < tables.size(); ++v) {
     VR_REQUIRE(tables[v] != nullptr, "null table in merged multibit input");
     for (const net::Route& route : tables[v]->routes()) {
-      builder.insert(static_cast<net::VnId>(v), route);
+      refresh(static_cast<net::VnId>(v), route.prefix, route);
     }
   }
-  *this = std::move(builder.image);
+}
+
+NodeIndex FlatMultibitTrie::Writer::allocate(std::size_t level,
+                                             std::size_t parent_entry) {
+  const NodeIndex index =
+      checked_node_index(image_.node_count(), "flat multibit trie");
+  const std::size_t lanes = image_.width_ * image_.vn_count_;
+  image_.children_.resize(image_.children_.size() + image_.width_,
+                          kNullNode);
+  image_.next_hops_.resize(image_.next_hops_.size() + lanes, net::kNoRoute);
+  route_lens_.resize(route_lens_.size() + lanes, 0);
+  parents_.push_back(parent_entry);
+  if (parent_entry != kNoParent) image_.children_[parent_entry] = index;
+  std::vector<std::size_t>& counts = image_.level_node_counts_;
+  if (counts.size() <= level) counts.resize(level + 1, 0);
+  ++counts[level];
+  return index;
+}
+
+bool FlatMultibitTrie::Writer::unused(NodeIndex node) const {
+  const std::size_t width = image_.width_;
+  const std::size_t lanes = width * image_.vn_count_;
+  const auto children =
+      std::span(image_.children_).subspan(std::size_t{node} * width, width);
+  const auto hops =
+      std::span(image_.next_hops_).subspan(std::size_t{node} * lanes, lanes);
+  return std::all_of(children.begin(), children.end(),
+                     [](NodeIndex c) { return c == kNullNode; }) &&
+         std::all_of(hops.begin(), hops.end(),
+                     [](net::NextHop h) { return h == net::kNoRoute; });
+}
+
+void FlatMultibitTrie::Writer::free_node(NodeIndex node, std::size_t level,
+                                         std::span<NodeIndex> ancestors) {
+  const std::size_t width = image_.width_;
+  const std::size_t lanes = width * image_.vn_count_;
+  image_.children_[parents_[node]] = kNullNode;
+  const NodeIndex last =
+      checked_node_index(image_.node_count() - 1, "flat multibit trie");
+  if (node != last) {
+    // The last node moves into the hole: its entries, the parent entry
+    // pointing at it, its children's parent entries, and its place on the
+    // walk that is freeing nodes.
+    const std::size_t to = std::size_t{node} * width;
+    std::copy_n(image_.children_.data() + std::size_t{last} * width, width,
+                image_.children_.data() + to);
+    std::copy_n(image_.next_hops_.data() + std::size_t{last} * lanes, lanes,
+                image_.next_hops_.data() + std::size_t{node} * lanes);
+    std::copy_n(route_lens_.data() + std::size_t{last} * lanes, lanes,
+                route_lens_.data() + std::size_t{node} * lanes);
+    parents_[node] = parents_[last];
+    image_.children_[parents_[node]] = node;
+    for (std::size_t slot = 0; slot < width; ++slot) {
+      const NodeIndex child = image_.children_[to + slot];
+      if (child != kNullNode) parents_[child] = to + slot;
+    }
+    std::replace(ancestors.begin(), ancestors.end(), last, node);
+  }
+  image_.children_.resize(std::size_t{last} * width);
+  image_.next_hops_.resize(std::size_t{last} * lanes);
+  route_lens_.resize(std::size_t{last} * lanes);
+  parents_.pop_back();
+  // A level left empty has no node below it either.
+  std::vector<std::size_t>& counts = image_.level_node_counts_;
+  --counts[level];
+  while (counts.back() == 0) counts.pop_back();
+}
+
+void FlatMultibitTrie::Writer::refresh(
+    net::VnId vn, const net::Prefix& prefix,
+    const std::optional<net::Route>& owner) {
+  VR_REQUIRE(vn < image_.vn_count_, "VNID out of range");
+  const unsigned stride = image_.stride_;
+  const unsigned length = prefix.length();
+  const std::uint32_t addr = prefix.address().value();
+  const bool installed = owner && owner->prefix == prefix;
+  // Structural nodes are shared across VNs (a node exists wherever any VN
+  // needs one).
+  NodeIndex node = 0;
+  std::size_t level = 0;
+  unsigned consumed = 0;
+  while (length - consumed > stride) {
+    const std::size_t entry =
+        std::size_t{node} * image_.width_ + image_.slot_of(addr, level);
+    node = image_.children_[entry];
+    if (node == kNullNode) {
+      // Only an installed route needs a missing node; without one the
+      // prefix has no slot to rewrite and no node to free.
+      if (!installed) return;
+      node = allocate(level + 1, entry);
+    }
+    ++level;
+    consumed += stride;
+  }
+  // Controlled prefix expansion of the final (possibly partial) stride:
+  // the prefix covers 2^(stride - r) consecutive slots (r == 0 only for the
+  // default route). A slot held by a route no longer than the prefix takes
+  // the owner when the owner ends in this node (every route ends in the
+  // root when consumed == 0) and no route otherwise; a slot held by a
+  // longer route keeps it.
+  const unsigned r = length - consumed;
+  const std::size_t base =
+      r == 0 ? 0
+             : image_.slot_of(addr, level) &
+                   ~((std::size_t{1} << (stride - r)) - 1u);
+  const std::size_t span = std::size_t{1} << (stride - r);
+  const bool here =
+      owner && (owner->prefix.length() > consumed || consumed == 0);
+  const net::NextHop hop = here ? owner->next_hop : net::kNoRoute;
+  const unsigned owner_len = here ? owner->prefix.length() : 0;
+  // narrow-ok: an IPv4 prefix length is at most 32
+  const auto hop_len = static_cast<std::uint8_t>(owner_len);
+  const std::size_t node_base = std::size_t{node} * image_.width_;
+  for (std::size_t i = 0; i < span; ++i) {
+    const std::size_t e = (node_base + base + i) * image_.vn_count_ + vn;
+    if (route_lens_[e] <= length) {
+      image_.next_hops_[e] = hop;
+      route_lens_[e] = hop_len;
+    }
+  }
+  // A node left with no hop and no child serves no route; the root stays.
+  // A node the owner ends in holds a hop (the owner's, or a longer
+  // route's), so only a refresh to no route can empty one.
+  if (!here && level > 0 && unused(node)) free_emptied(addr, level);
+}
+
+void FlatMultibitTrie::Writer::free_emptied(std::uint32_t addr,
+                                            std::size_t level) {
+  // The walk to the node again, so that it and every ancestor it leaves
+  // unused can be freed bottom-up.
+  std::array<NodeIndex, 32> path{};
+  for (std::size_t l = 0; l < level; ++l) {
+    path[l + 1] = image_.children_[std::size_t{path[l]} * image_.width_ +
+                                   image_.slot_of(addr, l)];
+  }
+  for (; level > 0 && unused(path[level]); --level) {
+    free_node(path[level], level, std::span(path).first(level));
+  }
 }
 
 FlatMultibitTrie::FlatMultibitTrie(const UnibitTrie& trie)

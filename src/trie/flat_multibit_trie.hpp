@@ -10,8 +10,10 @@
 //     last r bits select, a longer original prefix wins a slot, and a route
 //     ending on a node boundary lives in its parent's entries, so no node
 //     is a bare leaf. This is the memory-minimal image: `ablation_stride`
-//     prices its per-level node counts and the SnapshotPublisher rebuilds
-//     it on every epoch.
+//     prices its per-level node counts. Its builder, the Writer, outlives
+//     the build: the table constructors move its image out, and the
+//     SnapshotPublisher keeps one and patches it per changed prefix on
+//     every epoch.
 //   * The stride-1 flattening of a binary trie (UnibitTrie, MergedTrie):
 //     every node keeps its breadth-first index, entry (n, b) holds child b
 //     of n and that child's K next hops, and the root's own hops fill the
@@ -28,6 +30,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "netbase/routing_table.hpp"
@@ -49,6 +52,9 @@ class FlatMultibitTrie {
 
   /// Stride-1 flattening of a uni-bit trie (K = 1), node for node.
   explicit FlatMultibitTrie(const UnibitTrie& trie);
+
+  /// Controlled prefix expansion that outlives the build (below).
+  class Writer;
 
   /// Stride-1 flattening of a K-way binary trie, node by node (below).
   class BinaryFlattener;
@@ -128,8 +134,6 @@ class FlatMultibitTrie {
       unsigned pointer_bits = 18, unsigned nhi_bits = 8) const;
 
  private:
-  struct Builder;
-
   FlatMultibitTrie(unsigned stride, std::size_t vn_count);
 
   [[nodiscard]] std::uint64_t entry_bits(unsigned pointer_bits,
@@ -154,6 +158,62 @@ class FlatMultibitTrie {
   std::vector<std::size_t> level_node_counts_;
   std::vector<NodeIndex> children_;     // node-major, width_ per node
   std::vector<net::NextHop> next_hops_; // entry-major, vn_count_ per entry
+};
+
+/// Controlled prefix expansion as a long-lived writer: the image, the length
+/// of the route expanded into each entry of each VN lane (a longer original
+/// prefix wins a slot), and each node's parent entry. One primitive,
+/// refresh(), changes the image, so a from-scratch build (the table
+/// constructors) and a per-prefix patch (trie::SnapshotPublisher) share one
+/// expansion path.
+class FlatMultibitTrie::Writer {
+ public:
+  /// The image of `tables` (one per VN, all non-null, K >= 1):
+  /// refresh(v, route.prefix, route) for every route of every table, in
+  /// table order.
+  Writer(std::span<const net::RoutingTable* const> tables, unsigned stride);
+
+  /// Re-expands `prefix` in lane `vn` from `owner`, the longest route of
+  /// `vn` that covers `prefix` and is no longer than it (nullopt when
+  /// none). Every slot of the prefix's span that no route longer than
+  /// `prefix` holds takes `owner` when `owner` ends in the same node, and
+  /// no route otherwise. Nodes are created only when `owner` is `prefix`
+  /// itself; a node left with no hop and no child is freed, and the last
+  /// node moves into its place.
+  ///
+  /// After any set of route changes, refreshing each changed prefix from
+  /// its owner after the changes, in any order, leaves the image that a
+  /// from-scratch build of the resulting routes gives, up to node
+  /// numbering.
+  void refresh(net::VnId vn, const net::Prefix& prefix,
+               const std::optional<net::Route>& owner);
+
+  [[nodiscard]] const FlatMultibitTrie& image() const noexcept {
+    return image_;
+  }
+
+  /// Moves the image out; the writer is spent.
+  [[nodiscard]] FlatMultibitTrie release() && { return std::move(image_); }
+
+ private:
+  /// An image of only the root, with `vn_count` lanes.
+  Writer(unsigned stride, std::size_t vn_count);
+
+  /// Appends an empty node at `level` and points `parent_entry` at it.
+  NodeIndex allocate(std::size_t level, std::size_t parent_entry);
+  /// Whether `node` holds no hop in any lane and no child.
+  [[nodiscard]] bool unused(NodeIndex node) const;
+  /// Frees the unused node at `level` of `addr`'s walk and every ancestor
+  /// that leaves unused.
+  void free_emptied(std::uint32_t addr, std::size_t level);
+  /// Frees unused `node` at `level` and moves the last node into its place,
+  /// renumbering that node wherever `ancestors` (a walk's path) names it.
+  void free_node(NodeIndex node, std::size_t level,
+                 std::span<NodeIndex> ancestors);
+
+  FlatMultibitTrie image_;
+  std::vector<std::uint8_t> route_lens_;  // parallel to image_.next_hops_
+  std::vector<std::size_t> parents_;      // parent entry per node
 };
 
 /// Stride-1 flattening of a K-way binary trie, fed one node at a time in

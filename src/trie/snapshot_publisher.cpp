@@ -1,5 +1,6 @@
 #include "trie/snapshot_publisher.hpp"
 
+#include <array>
 #include <chrono>
 #include <utility>
 
@@ -30,8 +31,8 @@ struct PublishMetrics {
 
 SnapshotPublisher::SnapshotPublisher(const net::RoutingTable& base,
                                      unsigned stride)
-    : stride_(stride), control_(base) {
-  publish(std::make_shared<const FlatMultibitTrie>(base, stride_), 0);
+    : control_(base), writer_(std::array{&base}, stride) {
+  publish(std::make_shared<const FlatMultibitTrie>(writer_.image()), 0);
 }
 
 void SnapshotPublisher::publish(
@@ -55,9 +56,16 @@ SnapshotPublisher::PublishReceipt SnapshotPublisher::apply_batch(
   }
   receipt.apply_ns = obs::since(apply_start);
 
+  // Each refresh writes the prefix's post-batch owner, so the order does
+  // not matter and a prefix updated twice is refreshed twice, harmlessly.
+  // The copy keeps published images immutable: patching a retired image in
+  // place would need proof that no reader still holds it.
   const auto build_start = std::chrono::steady_clock::now();
-  auto image = std::make_shared<const FlatMultibitTrie>(control_.table_of(0),
-                                                        stride_);
+  for (const net::RouteUpdate& update : updates) {
+    const net::Prefix& prefix = update.route.prefix;
+    writer_.refresh(0, prefix, control_.covering_route(0, prefix));
+  }
+  auto image = std::make_shared<const FlatMultibitTrie>(writer_.image());
   receipt.build_ns = obs::since(build_start);
 
   const auto publish_start = std::chrono::steady_clock::now();

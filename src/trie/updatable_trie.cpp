@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 
-#include "common/bitops.hpp"
 #include "common/error.hpp"
 
 namespace vr::trie {
@@ -163,20 +162,32 @@ UpdateCost UpdatableTrie::do_withdraw(net::VnId vn, const net::Prefix& prefix) {
 
 std::optional<net::NextHop> UpdatableTrie::lookup(net::Ipv4 addr,
                                                   net::VnId vn) const {
+  const std::optional<net::Route> route =
+      covering_route(vn, net::Prefix(addr, 32));
+  if (!route) return std::nullopt;
+  return route->next_hop;
+}
+
+std::optional<net::Route> UpdatableTrie::covering_route(
+    net::VnId vn, const net::Prefix& prefix) const {
   check_vn(vn);
-  std::optional<net::NextHop> best;
+  net::NextHop best = net::kNoRoute;
+  unsigned best_depth = 0;
   NodeIndex current = 0;
   for (unsigned depth = 0;; ++depth) {
     const net::NextHop hop = hop_at(current, vn);
-    if (hop != net::kNoRoute) best = hop;
-    if (depth >= 32) break;
+    if (hop != net::kNoRoute) {
+      best = hop;
+      best_depth = depth;
+    }
+    if (depth == prefix.length()) break;
     const Node& node = nodes_[current];
-    const NodeIndex child =
-        bit_at(addr.value(), depth) ? node.right : node.left;
+    const NodeIndex child = prefix.bit(depth) ? node.right : node.left;
     if (child == kNullNode) break;
     current = child;
   }
-  return best;
+  if (best == net::kNoRoute) return std::nullopt;
+  return net::Route{net::Prefix(prefix.address(), best_depth), best};
 }
 
 std::size_t UpdatableTrie::present_count(net::VnId vn) const {

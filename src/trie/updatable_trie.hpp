@@ -12,8 +12,10 @@
 // merging efficiency α stays measurable along an update stream.
 //
 // Unlike UnibitTrie and virt::MergedTrie (immutable deployment images),
-// nodes live in a pool with a free list; table_of() exports one VN's
-// routes for an image rebuild (trie::SnapshotPublisher).
+// nodes live in a pool with a free list. covering_route() gives, per
+// changed prefix, the route a stride-k image patch expands there
+// (trie::SnapshotPublisher); table_of() exports one VN's routes, the input
+// of a from-scratch image build (the tests' oracle).
 #pragma once
 
 #include <cstdint>
@@ -73,6 +75,12 @@ class UpdatableTrie {
   /// Longest-prefix match in `vn`'s routes.
   [[nodiscard]] std::optional<net::NextHop> lookup(net::Ipv4 addr,
                                                    net::VnId vn) const;
+
+  /// The longest route of `vn` that covers `prefix` and is no longer than
+  /// it (`prefix`'s own route when installed); nullopt when none. A walk of
+  /// at most 32 nodes below the root.
+  [[nodiscard]] std::optional<net::Route> covering_route(
+      net::VnId vn, const net::Prefix& prefix) const;
 
   [[nodiscard]] std::size_t vn_count() const noexcept { return vn_count_; }
   /// Live node count, including the root.

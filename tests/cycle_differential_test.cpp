@@ -15,6 +15,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "dataplane/cycle/cycle_router.hpp"
 #include "dataplane/full_router.hpp"
 #include "netbase/table_gen.hpp"
@@ -117,6 +118,7 @@ TEST(CycleDifferential, MatchesFullRouterExactlyAtInfiniteResources) {
       EXPECT_EQ(cycle.parser.malformed, oracle.parser.malformed);
       EXPECT_EQ(cycle.parser.bad_checksum, oracle.parser.bad_checksum);
       EXPECT_EQ(cycle.parser.ttl_expired, oracle.parser.ttl_expired);
+      EXPECT_EQ(cycle.parser.bad_vnid, oracle.parser.bad_vnid);
       // Lookup verdicts are value-deterministic, so the editor totals
       // must match exactly however differently the two models schedule.
       EXPECT_EQ(cycle.editor.forwarded, oracle.editor.forwarded);
@@ -135,6 +137,58 @@ TEST(CycleDifferential, MatchesFullRouterExactlyAtInfiniteResources) {
                 cycle.cycle.flits_out + cycle.cycle.flits_dropped);
     }
   }
+}
+
+// A seeded K = 3 stream with about 5 % of its frames retagged to VNIDs
+// 3-11, which name no VN of the router: both drivers drop exactly those
+// frames at the parser, before any per-VN array sees the VNID (a build
+// with -D_GLIBCXX_ASSERTIONS aborts on an out-of-range index), and still
+// agree on every other count.
+TEST(CycleDifferential, OutOfRangeVnidsAreParserDrops) {
+  constexpr std::size_t k = 3;
+  const auto oracle_lookup = make_lookup(k, /*separate=*/false, 500);
+  const auto cycle_lookup = make_lookup(k, /*separate=*/false, 500);
+  FrameGenConfig frame_config;
+  frame_config.traffic =
+      net::make_shaped_config(net::TraceShape::kBursty, 3000, 0.5, k);
+  frame_config.corrupt_fraction = 0.05;
+  const FrameGenerator frame_gen(frame_config, oracle_lookup->table_ptrs);
+  std::vector<IngressFrame> frames =
+      frame_gen.generate(FrameGenerator::derive_seed(4321, k));
+  Rng rng(77);
+  std::uint64_t injected = 0;
+  for (IngressFrame& frame : frames) {
+    if (rng.next_below(20) == 0) {
+      frame.vnid = static_cast<net::VnId>(rng.next_in(k, 11));
+      ++injected;
+    }
+  }
+  ASSERT_GT(injected, 0u);
+
+  FullRouterConfig oracle_config;
+  oracle_config.scheduler = roomy_scheduler(k);
+  const FullRouterResult oracle =
+      run_full_router(*oracle_lookup->router, frames, oracle_config);
+  CycleConfig config;
+  config.vc.policy = VcPolicy::kDynamic;
+  config.vc.vc_count = 16 * k;
+  config.vc.vn_count = k;
+  config.vc.dynamic_floor = 1;
+  config.flit_bytes = 2000;
+  config.switch_flits_per_cycle = 64;
+  config.scheduler = roomy_scheduler(k);
+  const CycleResult cycle =
+      run_cycle_router(*cycle_lookup->router, frames, config);
+
+  EXPECT_EQ(oracle.parser.bad_vnid, injected);
+  EXPECT_EQ(cycle.parser.bad_vnid, injected);
+  for (const ParserStats& parser : {oracle.parser, cycle.parser}) {
+    EXPECT_EQ(parser.accepted + parser.dropped(), frames.size());
+  }
+  EXPECT_EQ(cycle.parser.accepted, oracle.parser.accepted);
+  EXPECT_EQ(cycle.parser.bad_checksum, oracle.parser.bad_checksum);
+  EXPECT_EQ(cycle.editor.forwarded, oracle.editor.forwarded);
+  EXPECT_EQ(cycle.scheduler.bytes_per_vn, oracle.scheduler.bytes_per_vn);
 }
 
 }  // namespace

@@ -105,7 +105,7 @@ TEST(Ipv4HeaderTest, DecrementAtZeroRefuses) {
 // ----------------------------------------------------------------- parser --
 
 TEST(ParserTest, AcceptsValidFrames) {
-  Parser parser;
+  Parser parser(/*vn_count=*/4);
   Ipv4Header header;
   header.ttl = 10;
   header.source = Ipv4(10, 0, 0, 1);
@@ -118,7 +118,7 @@ TEST(ParserTest, AcceptsValidFrames) {
 }
 
 TEST(ParserTest, DropsBadChecksum) {
-  Parser parser;
+  Parser parser(/*vn_count=*/4);
   Ipv4Header header;
   header.ttl = 10;
   header.checksum = static_cast<std::uint16_t>(
@@ -128,7 +128,7 @@ TEST(ParserTest, DropsBadChecksum) {
 }
 
 TEST(ParserTest, DropsExpiringTtl) {
-  Parser parser;
+  Parser parser(/*vn_count=*/4);
   for (const std::uint8_t ttl : {std::uint8_t{0}, std::uint8_t{1}}) {
     Ipv4Header header;
     header.ttl = ttl;
@@ -139,7 +139,7 @@ TEST(ParserTest, DropsExpiringTtl) {
 }
 
 TEST(ParserTest, TruncatedBuffersAreMalformedAtEveryLength) {
-  Parser parser;
+  Parser parser(/*vn_count=*/4);
   Ipv4Header header;
   header.ttl = 9;
   const auto bytes = header.serialize_with_checksum();
@@ -151,7 +151,7 @@ TEST(ParserTest, TruncatedBuffersAreMalformedAtEveryLength) {
 }
 
 TEST(ParserTest, ParseFromBytes) {
-  Parser parser;
+  Parser parser(/*vn_count=*/4);
   Ipv4Header header;
   header.ttl = 33;
   header.total_length = 60;
@@ -162,6 +162,23 @@ TEST(ParserTest, ParseFromBytes) {
   // Truncated buffer -> malformed.
   EXPECT_FALSE(parser.parse(1, std::span(bytes).first(8)).has_value());
   EXPECT_EQ(parser.stats().malformed, 1u);
+}
+
+TEST(ParserTest, DropsVnidsOutsideTheRouter) {
+  Parser parser(/*vn_count=*/3);
+  Ipv4Header header;
+  header.ttl = 10;
+  header.checksum = header.compute_checksum();
+  EXPECT_TRUE(parser.accept(2, header, 40).has_value());
+  EXPECT_FALSE(parser.accept(3, header, 40).has_value());
+  const auto bytes = header.serialize_with_checksum();
+  EXPECT_FALSE(parser.parse(11, bytes).has_value());
+  // The VNID is checked first: a bad one is never also malformed.
+  EXPECT_FALSE(parser.parse(0xffff, std::span(bytes).first(8)).has_value());
+  EXPECT_EQ(parser.stats().bad_vnid, 3u);
+  EXPECT_EQ(parser.stats().malformed, 0u);
+  EXPECT_EQ(parser.stats().accepted, 1u);
+  EXPECT_EQ(parser.stats().dropped(), 3u);
 }
 
 // ----------------------------------------------------------------- editor --

@@ -1,11 +1,14 @@
 // SnapshotPublisher: correctness of the published images (every snapshot
-// equals a from-scratch build of the control-plane table at that epoch),
-// version/staleness accounting, and a reader/updater stress test that a
-// thread-sanitizer build (VR_SANITIZE=thread) checks for races.
+// equals a from-scratch build of the control-plane table at that epoch, up
+// to node numbering), version/staleness accounting, immutability of held
+// snapshots, and a reader/updater stress test that a thread-sanitizer
+// build (VR_SANITIZE=thread) checks for races.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/bitops.hpp"
@@ -37,27 +40,10 @@ std::vector<RouteUpdate> gen_updates(const RoutingTable& base,
   return net::UpdateStreamGenerator(config).generate(base, seed);
 }
 
-TEST(SnapshotPublisherTest, InitialImageMatchesBaseTable) {
-  const RoutingTable base = gen_table(1);
-  const SnapshotPublisher publisher(base, /*stride=*/4);
-  EXPECT_EQ(publisher.published_version(), 0u);
-  EXPECT_EQ(publisher.route_count(), base.routes().size());
-  const SnapshotPublisher::Snapshot snap = publisher.acquire();
-  ASSERT_NE(snap.image, nullptr);
-  EXPECT_EQ(snap.version, 0u);
-  EXPECT_EQ(publisher.staleness_of(snap), 0u);
-  const UnibitTrie oracle(base);
-  Rng rng(2);
-  for (int i = 0; i < 1000; ++i) {
-    const Ipv4 addr(static_cast<std::uint32_t>(rng.next_u64()));
-    EXPECT_EQ(snap.image->lookup(addr), oracle.lookup(addr));
-  }
-}
-
 /// Fails unless `got` holds exactly the arrays of `want`: the same shape,
 /// and the same child and next hop at every node and slot.
-void expect_same_image(const FlatMultibitTrie& got,
-                       const FlatMultibitTrie& want) {
+void expect_identical_image(const FlatMultibitTrie& got,
+                            const FlatMultibitTrie& want) {
   ASSERT_EQ(got.stride(), want.stride());
   ASSERT_EQ(got.vn_count(), want.vn_count());
   ASSERT_EQ(got.node_count(), want.node_count());
@@ -70,6 +56,59 @@ void expect_same_image(const FlatMultibitTrie& got,
       ASSERT_EQ(got.next_hop(node, slot), want.next_hop(node, slot))
           << "entry (" << n << ", " << slot << ")";
     }
+  }
+}
+
+/// Fails unless `got` is `want` up to node numbering: the same node count,
+/// per-level node counts and memory, and a lockstep walk from both roots
+/// that finds the same child presence and next hops at every reachable
+/// entry and reaches every node.
+void expect_same_image(const FlatMultibitTrie& got,
+                       const FlatMultibitTrie& want) {
+  ASSERT_EQ(got.stride(), want.stride());
+  ASSERT_EQ(got.vn_count(), want.vn_count());
+  ASSERT_EQ(got.node_count(), want.node_count());
+  ASSERT_EQ(got.level_node_counts(), want.level_node_counts());
+  ASSERT_EQ(got.memory_bits(), want.memory_bits());
+  std::vector<std::pair<NodeIndex, NodeIndex>> stack{{0, 0}};
+  std::size_t reached = 0;
+  while (!stack.empty()) {
+    const auto [g, w] = stack.back();
+    stack.pop_back();
+    ++reached;
+    for (std::size_t slot = 0; slot < got.width(); ++slot) {
+      for (net::VnId vn = 0; vn < got.vn_count(); ++vn) {
+        ASSERT_EQ(got.next_hop(g, slot, vn), want.next_hop(w, slot, vn))
+            << "entry (" << g << ", " << slot << ") vs (" << w << ", "
+            << slot << "), VN " << vn;
+      }
+      const NodeIndex gc = got.child(g, slot);
+      const NodeIndex wc = want.child(w, slot);
+      ASSERT_EQ(gc == kNullNode, wc == kNullNode)
+          << "entry (" << g << ", " << slot << ") vs (" << w << ", "
+          << slot << ")";
+      if (gc != kNullNode) stack.emplace_back(gc, wc);
+    }
+  }
+  EXPECT_EQ(reached, got.node_count());
+}
+
+TEST(SnapshotPublisherTest, InitialImageMatchesBaseTable) {
+  const RoutingTable base = gen_table(1);
+  const SnapshotPublisher publisher(base, /*stride=*/4);
+  EXPECT_EQ(publisher.published_version(), 0u);
+  EXPECT_EQ(publisher.route_count(), base.routes().size());
+  const SnapshotPublisher::Snapshot snap = publisher.acquire();
+  ASSERT_NE(snap.image, nullptr);
+  EXPECT_EQ(snap.version, 0u);
+  EXPECT_EQ(publisher.staleness_of(snap), 0u);
+  // Version 0 comes from the table constructor's inserts, in its order.
+  expect_identical_image(*snap.image, FlatMultibitTrie(base, 4));
+  const UnibitTrie oracle(base);
+  Rng rng(2);
+  for (int i = 0; i < 1000; ++i) {
+    const Ipv4 addr(static_cast<std::uint32_t>(rng.next_u64()));
+    EXPECT_EQ(snap.image->lookup(addr), oracle.lookup(addr));
   }
 }
 
@@ -163,6 +202,89 @@ TEST_P(SnapshotPublisherStrideTest, EveryEpochMatchesControlPlaneRebuild) {
   EXPECT_EQ(last.image->lookup(flapping.address()), 14);
 }
 
+// Hop flaps of nested prefixes inside one batch: 80 prefixes along five
+// host addresses under 10.0.0.0/8, so most lengths nest within one stride
+// and the CPE tie-break decides most slots, plus 10.0.0.0/8 itself and /0.
+// Every batch is 1-24 random announces and withdraws; every epoch must
+// equal a fresh build of the control plane's table.
+TEST_P(SnapshotPublisherStrideTest, NestedFlapsInsideOneBatch) {
+  const unsigned stride = GetParam();
+  Rng rng(23);
+  std::vector<Ipv4> hosts;
+  for (int i = 0; i < 5; ++i) {
+    hosts.emplace_back((10u << 24) |
+                       static_cast<std::uint32_t>(rng.next_below(1u << 24)));
+  }
+  std::vector<Prefix> pool{Prefix(Ipv4(0), 0), Prefix(Ipv4(10u << 24), 8)};
+  while (pool.size() < 82) {
+    const Prefix p(hosts[rng.next_below(hosts.size())],
+                   static_cast<unsigned>(rng.next_in(9, 32)));
+    if (std::find(pool.begin(), pool.end(), p) == pool.end()) {
+      pool.push_back(p);
+    }
+  }
+  RoutingTable base;
+  for (std::size_t i = 0; i < pool.size(); i += 2) {
+    base.add(pool[i], static_cast<net::NextHop>(1 + i % 7));
+  }
+  SnapshotPublisher publisher(base, stride);
+  UpdatableTrie mirror(base);
+  using Kind = RouteUpdate::Kind;
+  for (int b = 0; b < 300; ++b) {
+    std::vector<RouteUpdate> batch(rng.next_in(1, 24));
+    for (RouteUpdate& update : batch) {
+      const Prefix& p = pool[rng.next_below(pool.size())];
+      update = rng.next_below(2) == 0
+                   ? RouteUpdate{Kind::kAnnounce,
+                                 {p, static_cast<net::NextHop>(
+                                         rng.next_in(1, 4))}}
+                   : RouteUpdate{Kind::kWithdraw, {p, net::kNoRoute}};
+    }
+    (void)publisher.apply_batch(batch);
+    for (const RouteUpdate& update : batch) (void)mirror.apply(0, update);
+    SCOPED_TRACE(::testing::Message() << "batch " << b);
+    expect_same_image(*publisher.acquire().image,
+                      FlatMultibitTrie(mirror.table_of(0), stride));
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+// The shape of the route-churn benchmark: a forward update stream, then
+// its inverses in reverse order, in 64-update batches. The stream restores
+// the base table, so the last image must be the first one, up to node
+// numbering.
+TEST_P(SnapshotPublisherStrideTest, ChurnCycleRestoresBaseImage) {
+  const unsigned stride = GetParam();
+  const RoutingTable base = gen_table(29, 600);
+  SnapshotPublisher publisher(base, stride);
+  const SnapshotPublisher::Snapshot first = publisher.acquire();
+  const std::vector<RouteUpdate> forward = gen_updates(base, 512, 31);
+  UpdatableTrie mirror(base);
+  std::vector<RouteUpdate> inverse;
+  for (const RouteUpdate& update : forward) {
+    const Prefix& p = update.route.prefix;
+    const std::optional<net::Route> old = mirror.covering_route(0, p);
+    if (old && old->prefix == p) {
+      inverse.push_back({RouteUpdate::Kind::kAnnounce, *old});
+    } else {
+      inverse.push_back({RouteUpdate::Kind::kWithdraw, {p, net::kNoRoute}});
+    }
+    (void)mirror.apply(0, update);
+  }
+  std::vector<RouteUpdate> cycle = forward;
+  cycle.insert(cycle.end(), inverse.rbegin(), inverse.rend());
+  constexpr std::size_t kBatch = 64;
+  for (std::size_t i = 0; i < cycle.size(); i += kBatch) {
+    const std::size_t end = std::min(cycle.size(), i + kBatch);
+    (void)publisher.apply_batch(
+        std::span<const RouteUpdate>(cycle.data() + i, end - i));
+  }
+  EXPECT_EQ(publisher.route_count(), base.size());
+  const SnapshotPublisher::Snapshot last = publisher.acquire();
+  EXPECT_EQ(last.image->node_count(), first.image->node_count());
+  expect_same_image(*last.image, *first.image);
+}
+
 INSTANTIATE_TEST_SUITE_P(Strides, SnapshotPublisherStrideTest,
                          ::testing::Values(1u, 2u, 4u, 8u));
 
@@ -170,6 +292,7 @@ TEST(SnapshotPublisherTest, HeldSnapshotSurvivesLaterPublishes) {
   const RoutingTable base = gen_table(7);
   SnapshotPublisher publisher(base, /*stride=*/8);
   const SnapshotPublisher::Snapshot old_snap = publisher.acquire();
+  const FlatMultibitTrie held = *old_snap.image;  // a private copy
   const UnibitTrie oracle(base);
 
   const std::vector<RouteUpdate> stream = gen_updates(base, 120, 9);
@@ -180,7 +303,9 @@ TEST(SnapshotPublisherTest, HeldSnapshotSurvivesLaterPublishes) {
   EXPECT_EQ(publisher.published_version(), 3u);
   EXPECT_EQ(publisher.staleness_of(old_snap), 3u);
   EXPECT_EQ(publisher.staleness_of(publisher.acquire()), 0u);
-  // The retired image is still fully readable (deferred reclamation).
+  // The retired image is still fully readable (deferred reclamation), and
+  // no publish wrote into it.
+  expect_identical_image(*old_snap.image, held);
   Rng rng(11);
   for (int i = 0; i < 500; ++i) {
     const Ipv4 addr(static_cast<std::uint32_t>(rng.next_u64()));
