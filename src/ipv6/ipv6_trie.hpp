@@ -1,57 +1,24 @@
-// Uni-bit trie over IPv6 prefixes — the 128-bit counterpart of
-// trie::UnibitTrie, used by the IPv6 scaling study (`extension_ipv6`).
-// Kept structurally identical so the paper's per-stage power model applies
-// unchanged: one trie level per pipeline stage, leaf pushing optional.
+// IPv6 over the shared uni-bit trie, used by the IPv6 scaling study
+// (`extension_ipv6`): trie::UnibitTrie builds from an ipv6::RoutingTable6
+// as it does from an IPv4 table, so leaf pushing, trie::compute_stats and
+// the per-stage power model apply unchanged (one trie level per pipeline
+// stage). This header adds the 128-bit lookup walk and the synthetic
+// IPv6 edge-table generator.
 #pragma once
 
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "ipv6/ipv6.hpp"
-#include "trie/trie_stats.hpp"
 #include "trie/unibit_trie.hpp"
 
 namespace vr::ipv6 {
 
-/// Reuses trie::TrieNode (child indices + next hop); only the traversal
-/// key width differs.
-class UnibitTrie6 {
- public:
-  explicit UnibitTrie6(const RoutingTable6& table);
-
-  [[nodiscard]] std::optional<net::NextHop> lookup(const Ipv6& addr) const;
-
-  /// Leaf pushing, exactly as in the IPv4 trie.
-  [[nodiscard]] UnibitTrie6 leaf_pushed() const;
-
-  [[nodiscard]] std::size_t node_count() const noexcept {
-    return nodes_.size();
-  }
-  [[nodiscard]] unsigned height() const noexcept {
-    return static_cast<unsigned>(level_offsets_.size() - 2);
-  }
-  [[nodiscard]] std::size_t level_count() const noexcept {
-    return level_offsets_.size() - 1;
-  }
-  [[nodiscard]] std::span<const trie::TrieNode> nodes() const noexcept {
-    return nodes_;
-  }
-  [[nodiscard]] std::span<const std::size_t> level_offsets() const noexcept {
-    return level_offsets_;
-  }
-
-  /// Per-level node counts split into internal/leaf (feeds the stage
-  /// memory model with the same shapes the IPv4 path uses).
-  [[nodiscard]] trie::TrieStats stats() const;
-
- private:
-  UnibitTrie6() = default;
-  void canonicalize();
-
-  std::vector<trie::TrieNode> nodes_;
-  std::vector<std::size_t> level_offsets_;
-};
+/// Longest-prefix match of a 128-bit address in a trie built from a
+/// RoutingTable6: next hop of the most specific route covering `addr`, or
+/// nullopt. The oracle the tests compare with RoutingTable6::lookup.
+[[nodiscard]] std::optional<net::NextHop> lookup(const trie::UnibitTrie& trie,
+                                                 const Ipv6& addr);
 
 /// Synthetic IPv6 edge-table generation: prefixes under a handful of
 /// provider /32 allocations, lengths concentrated at /48 (delegations)
