@@ -9,8 +9,7 @@
 // The engine accepts at most one packet per cycle (the paper's architecture
 // issues one lookup per cycle), has a fixed latency of `stage_count`
 // cycles, and is restricted to one trie level per stage (the configuration
-// the paper implements; analytical coalesced mappings are handled by the
-// model layer only).
+// the paper implements).
 #pragma once
 
 #include <cstdint>

@@ -1,61 +1,22 @@
 #include "trie/stage_mapping.hpp"
 
-#include <algorithm>
+#include <string>
 
 #include "common/error.hpp"
 
 namespace vr::trie {
 
 StageMapping::StageMapping(std::size_t level_count, std::size_t stage_count,
-                           MappingPolicy policy)
-    : stage_count_(stage_count) {
+                           MappingPolicy /*policy*/)
+    : level_count_(level_count), stage_count_(stage_count) {
   VR_REQUIRE(stage_count > 0, "pipeline needs at least one stage");
   VR_REQUIRE(level_count > 0, "trie has at least the root level");
-  stage_of_level_.resize(level_count);
-  switch (policy) {
-    case MappingPolicy::kOneLevelPerStage: {
-      if (level_count > stage_count) {
-        throw CapacityError(
-            "trie of " + std::to_string(level_count) +
-            " levels does not fit a " + std::to_string(stage_count) +
-            "-stage pipeline with one level per stage; use kCoalesce");
-      }
-      for (std::size_t l = 0; l < level_count; ++l) stage_of_level_[l] = l;
-      max_levels_per_stage_ = 1;
-      break;
-    }
-    case MappingPolicy::kCoalesce: {
-      // Distribute `level_count` levels over min(level_count, stage_count)
-      // stages in contiguous, near-equal runs.
-      const std::size_t used = std::min(level_count, stage_count);
-      const std::size_t base = level_count / used;
-      const std::size_t extra = level_count % used;
-      std::size_t level = 0;
-      for (std::size_t s = 0; s < used; ++s) {
-        const std::size_t run = base + (s < extra ? 1 : 0);
-        for (std::size_t i = 0; i < run; ++i) stage_of_level_[level++] = s;
-        max_levels_per_stage_ = std::max(max_levels_per_stage_, run);
-      }
-      break;
-    }
+  if (level_count > stage_count) {
+    throw CapacityError("trie of " + std::to_string(level_count) +
+                        " levels does not fit a " +
+                        std::to_string(stage_count) +
+                        "-stage pipeline with one level per stage");
   }
-}
-
-std::size_t StageMapping::stage_of(std::size_t level) const {
-  VR_REQUIRE(level < stage_of_level_.size(), "level out of range");
-  return stage_of_level_[level];
-}
-
-std::pair<std::size_t, std::size_t> StageMapping::levels_of(
-    std::size_t stage) const {
-  VR_REQUIRE(stage < stage_count_, "stage out of range");
-  const auto first = std::find(stage_of_level_.begin(), stage_of_level_.end(),
-                               stage);
-  if (first == stage_of_level_.end()) return {0, 0};
-  auto last = first;
-  while (last != stage_of_level_.end() && *last == stage) ++last;
-  return {static_cast<std::size_t>(first - stage_of_level_.begin()),
-          static_cast<std::size_t>(last - stage_of_level_.begin())};
 }
 
 StageOccupancy occupancy(const TrieStats& stats, const StageMapping& mapping) {
@@ -66,10 +27,9 @@ StageOccupancy occupancy(const TrieStats& stats, const StageMapping& mapping) {
   occ.internal_nodes.assign(mapping.stage_count(), 0);
   occ.leaf_nodes.assign(mapping.stage_count(), 0);
   for (std::size_t l = 0; l < stats.nodes_per_level.size(); ++l) {
-    const std::size_t s = mapping.stage_of(l);
-    occ.nodes[s] += stats.nodes_per_level[l];
-    occ.internal_nodes[s] += stats.internal_per_level[l];
-    occ.leaf_nodes[s] += stats.leaves_per_level[l];
+    occ.nodes[l] = stats.nodes_per_level[l];
+    occ.internal_nodes[l] = stats.internal_per_level[l];
+    occ.leaf_nodes[l] = stats.leaves_per_level[l];
   }
   return occ;
 }

@@ -3,10 +3,7 @@
 // The paper (Sec. V-D) maps each trie level onto one pipeline stage with an
 // independently accessible per-stage memory, and fixes the pipeline depth at
 // N = 28 stages (Sec. VI). A trie shallower than the pipeline leaves the
-// tail stages empty (pass-through); a deeper trie is rejected unless a
-// multi-level ("coalescing") mapping is requested, which packs consecutive
-// levels into one stage (the stage then performs one memory access per
-// packed level in series — its memory is the union of its levels).
+// tail stages empty (pass-through); a deeper trie is rejected.
 #pragma once
 
 #include <cstddef>
@@ -17,22 +14,19 @@
 
 namespace vr::trie {
 
-/// Policy for fitting a trie of height H into N stages.
+/// Policy for fitting a trie of height H into N stages. One level per
+/// stage is the only policy; the parameter stays for existing callers.
 enum class MappingPolicy {
   /// Level i -> stage i. Requires level_count <= stage_count; trailing
   /// stages are empty.
   kOneLevelPerStage,
-  /// Contiguous level ranges distributed as evenly as possible over the
-  /// stages (used when the trie is deeper than the pipeline).
-  kCoalesce,
 };
 
-/// An immutable level->stage assignment.
+/// An immutable level->stage assignment: level l is handled by stage l.
 class StageMapping {
  public:
   /// Builds a mapping for `level_count` levels onto `stage_count` stages.
-  /// Throws vr::CapacityError for kOneLevelPerStage when levels exceed
-  /// stages.
+  /// Throws vr::CapacityError when levels exceed stages.
   StageMapping(std::size_t level_count, std::size_t stage_count,
                MappingPolicy policy);
 
@@ -40,28 +34,12 @@ class StageMapping {
     return stage_count_;
   }
   [[nodiscard]] std::size_t level_count() const noexcept {
-    return stage_of_level_.size();
-  }
-
-  /// Stage handling trie level `l`.
-  [[nodiscard]] std::size_t stage_of(std::size_t level) const;
-
-  /// Levels handled by stage `s` as an inclusive-exclusive [first, last)
-  /// range; empty stages return an empty range.
-  [[nodiscard]] std::pair<std::size_t, std::size_t> levels_of(
-      std::size_t stage) const;
-
-  /// Maximum number of levels packed into any one stage (1 for
-  /// kOneLevelPerStage). The pipeline needs this many memory accesses per
-  /// stage in the worst case, which divides the achievable packet rate.
-  [[nodiscard]] std::size_t max_levels_per_stage() const noexcept {
-    return max_levels_per_stage_;
+    return level_count_;
   }
 
  private:
+  std::size_t level_count_;
   std::size_t stage_count_;
-  std::vector<std::size_t> stage_of_level_;
-  std::size_t max_levels_per_stage_ = 0;
 };
 
 /// Per-stage node counts for a trie under a mapping: the M_{i,j} inputs of

@@ -269,41 +269,27 @@ TEST(TrieStatsTest, NodesPerPrefixHelper) {
 
 TEST(StageMappingTest, OneLevelPerStageIdentity) {
   const StageMapping mapping(10, 28, MappingPolicy::kOneLevelPerStage);
+  EXPECT_EQ(mapping.level_count(), 10u);
   EXPECT_EQ(mapping.stage_count(), 28u);
-  EXPECT_EQ(mapping.max_levels_per_stage(), 1u);
+  TrieStats stats;
   for (std::size_t l = 0; l < 10; ++l) {
-    EXPECT_EQ(mapping.stage_of(l), l);
+    stats.internal_per_level.push_back(l + 1);
+    stats.leaves_per_level.push_back(2 * l);
+    stats.nodes_per_level.push_back(3 * l + 1);
   }
-  const auto range = mapping.levels_of(3);
-  EXPECT_EQ(range.first, 3u);
-  EXPECT_EQ(range.second, 4u);
-  EXPECT_EQ(mapping.levels_of(15).first, mapping.levels_of(15).second);
+  const StageOccupancy occ = occupancy(stats, mapping);
+  ASSERT_EQ(occ.nodes.size(), 28u);
+  for (std::size_t s = 0; s < 28; ++s) {
+    const bool used = s < 10;
+    EXPECT_EQ(occ.nodes[s], used ? 3 * s + 1 : 0u);
+    EXPECT_EQ(occ.internal_nodes[s], used ? s + 1 : 0u);
+    EXPECT_EQ(occ.leaf_nodes[s], used ? 2 * s : 0u);
+  }
 }
 
 TEST(StageMappingTest, OneLevelPerStageOverflowThrows) {
   EXPECT_THROW(StageMapping(33, 28, MappingPolicy::kOneLevelPerStage),
                CapacityError);
-}
-
-TEST(StageMappingTest, CoalesceCoversAllLevelsContiguously) {
-  const StageMapping mapping(33, 28, MappingPolicy::kCoalesce);
-  std::size_t last_stage = 0;
-  for (std::size_t l = 0; l < 33; ++l) {
-    const std::size_t s = mapping.stage_of(l);
-    EXPECT_GE(s, last_stage);
-    EXPECT_LE(s - last_stage, 1u);
-    last_stage = s;
-  }
-  EXPECT_EQ(mapping.stage_of(32), 27u);
-  EXPECT_EQ(mapping.max_levels_per_stage(), 2u);
-}
-
-TEST(StageMappingTest, CoalesceBalancesRuns) {
-  const StageMapping mapping(56, 28, MappingPolicy::kCoalesce);
-  for (std::size_t s = 0; s < 28; ++s) {
-    const auto [first, last] = mapping.levels_of(s);
-    EXPECT_EQ(last - first, 2u);
-  }
 }
 
 TEST(StageMappingTest, OccupancyAggregatesLevels) {
