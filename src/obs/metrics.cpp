@@ -127,8 +127,7 @@ HistogramSnapshot Histogram::snapshot() const {
 void Histogram::merge(const HistogramSnapshot& other) {
   const std::lock_guard<std::mutex> lock(mu_);
   // A shape mismatch would add counts bucket-index-wise across different
-  // value ranges — every quantile would silently lie. Fail loudly instead;
-  // Registry::merge wraps this with the metric's name.
+  // value ranges — every quantile would silently lie. Fail loudly instead.
   VR_REQUIRE(bounds_ == other.bounds,
              "histogram bucket bounds mismatch — refusing to merge "
              "differently-shaped histograms");

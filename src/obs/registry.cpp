@@ -104,42 +104,6 @@ std::vector<Registry::Snapshot> Registry::snapshot() const {
   return out;
 }
 
-void Registry::merge(const Registry& other) {
-  VR_REQUIRE(&other != this, "registry cannot merge with itself");
-  // Copy the source under its own lock, then fold without holding it:
-  // find_or_create takes this registry's lock per metric, so the two locks
-  // are never held together (no ordering, no deadlock).
-  const std::vector<Snapshot> snaps = other.snapshot();
-  for (const Snapshot& snap : snaps) {
-    Metric& metric = find_or_create(snap.name, snap.labels, snap.kind);
-    switch (snap.kind) {
-      case MetricKind::kCounter:
-        metric.counter.add(snap.counter);
-        break;
-      case MetricKind::kGauge:
-        metric.gauge.add(snap.gauge);
-        break;
-      case MetricKind::kHistogram:
-        // Name the metric before the primitive's own shape check fires:
-        // "which histogram disagreed" is the part of the abort message a
-        // sharded-sweep user actually needs. A default-shaped empty cell
-        // (created by this very merge) adopts the source's bounds instead.
-        VR_REQUIRE(
-            metric.histogram.bounds() == snap.histogram.bounds ||
-                (metric.histogram.bounds().empty() &&
-                 metric.histogram.snapshot().count() == 0),
-            "metric '" + snap.name +
-                "' merged with mismatched histogram bucket bounds — the "
-                "two registries registered it with different shapes");
-        if (!snap.histogram.bounds.empty()) {
-          metric.histogram.configure_bounds(snap.histogram.bounds);
-        }
-        metric.histogram.merge(snap.histogram);
-        break;
-    }
-  }
-}
-
 void Registry::reset() {
   const std::lock_guard<std::mutex> lock(mu_);
   for (const auto& [key, metric] : metrics_) {

@@ -63,15 +63,6 @@ class Registry {
   /// out) remain valid.
   void reset();
 
-  /// Folds another registry's state into this one: counters and gauges
-  /// sum, histograms merge (exact for count/sum/min/max and the bucketed
-  /// quantiles, RunningStats-combined for the moments). Metrics absent
-  /// here are created; kinds must agree where both registries know a
-  /// (name, labels). Commutative and associative up to floating-point
-  /// rounding of histogram moments, so sharded runs can merge in any
-  /// order. Self-merge is rejected.
-  void merge(const Registry& other);
-
   [[nodiscard]] std::size_t size() const;
 
   /// The process-wide registry the instrumented subsystems publish into.

@@ -36,30 +36,6 @@ std::vector<double> ActivityCounters::utilization() const {
   return mu;
 }
 
-namespace {
-
-void add_vector(std::vector<std::uint64_t>* into,
-                const std::vector<std::uint64_t>& from) {
-  VR_REQUIRE(into->size() == from.size(),
-             "activity counter shapes must match to merge");
-  for (std::size_t i = 0; i < from.size(); ++i) (*into)[i] += from[i];
-}
-
-}  // namespace
-
-void ActivityCounters::merge(const ActivityCounters& other) {
-  cycles += other.cycles;
-  add_vector(&parser_headers, other.parser_headers);
-  add_vector(&buffer_writes, other.buffer_writes);
-  add_vector(&buffer_reads, other.buffer_reads);
-  add_vector(&crossbar_traversals, other.crossbar_traversals);
-  add_vector(&arbiter_decisions, other.arbiter_decisions);
-  add_vector(&arbiter_comparisons, other.arbiter_comparisons);
-  add_vector(&editor_rewrites, other.editor_rewrites);
-  add_vector(&stage_busy, other.stage_busy);
-  add_vector(&stage_reads, other.stage_reads);
-}
-
 std::uint64_t ActivityCounters::total(
     const std::vector<std::uint64_t>& per_vn) noexcept {
   std::uint64_t sum = 0;

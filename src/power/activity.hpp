@@ -83,10 +83,6 @@ struct ActivityCounters {
   /// OperatingPoint reports alongside these counters.
   [[nodiscard]] std::vector<double> utilization() const;
 
-  /// Folds another run's counts into this one (element-wise sum; cycles
-  /// add, modelling consecutive or sharded windows). Shapes must match.
-  void merge(const ActivityCounters& other);
-
   /// Sum of one per-VN event vector (helper for reports).
   [[nodiscard]] static std::uint64_t total(
       const std::vector<std::uint64_t>& per_vn) noexcept;

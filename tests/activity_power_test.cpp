@@ -266,30 +266,6 @@ TEST(SchedulerArbiterTest, ComparisonsDominateGrantsOnRealRuns) {
   }
 }
 
-TEST(ActivityCountersTest, MergeSumsElementwise) {
-  ActivityCounters a(2, 3);
-  ActivityCounters b(2, 3);
-  a.cycles = 100;
-  b.cycles = 50;
-  a.parser_headers = {1, 2};
-  b.parser_headers = {10, 20};
-  a.busy(1, 2) = 7;
-  b.busy(1, 2) = 5;
-  b.reads(0, 0) = 4;
-  a.merge(b);
-  EXPECT_EQ(a.cycles, 150u);
-  EXPECT_EQ(a.parser_headers[0], 11u);
-  EXPECT_EQ(a.parser_headers[1], 22u);
-  EXPECT_EQ(a.busy(1, 2), 12u);
-  EXPECT_EQ(a.reads(0, 0), 4u);
-}
-
-TEST(ActivityCountersTest, MergeRejectsShapeMismatch) {
-  ActivityCounters a(2, 3);
-  const ActivityCounters b(3, 3);
-  EXPECT_DEATH(a.merge(b), "shape");
-}
-
 TEST(ActivityCountersTest, UtilizationIsBusyShareOfStageCycles) {
   ActivityCounters a(2, 4);
   EXPECT_EQ(a.utilization(0), 0.0);  // empty window

@@ -299,153 +299,6 @@ TEST(RegistryTest, ConcurrentRegistrationIsSafe) {
   EXPECT_EQ(registry.size(), 5u);
 }
 
-// ------------------------------------------------------------------ merge --
-
-/// Two registries hold the same state when their snapshots agree metric by
-/// metric (identity exactly, histogram moments to double precision).
-void expect_same_state(const Registry& a, const Registry& b) {
-  const auto sa = a.snapshot();
-  const auto sb = b.snapshot();
-  ASSERT_EQ(sa.size(), sb.size());
-  for (std::size_t i = 0; i < sa.size(); ++i) {
-    SCOPED_TRACE(sa[i].name);
-    EXPECT_EQ(sa[i].name, sb[i].name);
-    EXPECT_EQ(sa[i].labels, sb[i].labels);
-    ASSERT_EQ(sa[i].kind, sb[i].kind);
-    EXPECT_EQ(sa[i].counter, sb[i].counter);
-    EXPECT_EQ(sa[i].gauge, sb[i].gauge);
-    EXPECT_EQ(sa[i].histogram.count(), sb[i].histogram.count());
-    EXPECT_EQ(sa[i].histogram.buckets, sb[i].histogram.buckets);
-    if (sa[i].histogram.count() > 0) {
-      EXPECT_DOUBLE_EQ(sa[i].histogram.stats.mean(),
-                       sb[i].histogram.stats.mean());
-      EXPECT_DOUBLE_EQ(sa[i].histogram.stats.min(),
-                       sb[i].histogram.stats.min());
-      EXPECT_DOUBLE_EQ(sa[i].histogram.stats.max(),
-                       sb[i].histogram.stats.max());
-    }
-  }
-}
-
-/// A shard as a parallel run would produce one: overlapping and disjoint
-/// members of each metric kind, parameterized so shards differ.
-void fill_shard(Registry* registry, std::uint64_t salt) {
-  registry->counter("m.events").add(10 + salt);
-  registry->counter("m.events", {{"vn", std::to_string(salt % 2)}})
-      .add(3 * salt + 1);
-  registry->gauge("m.level").add(static_cast<std::int64_t>(salt) - 2);
-  Histogram& hist = registry->histogram("m.depth");
-  for (std::uint64_t v = 0; v <= salt; ++v) {
-    hist.observe(static_cast<double>(v * salt + 1));
-  }
-  if (salt % 2 == 0) {
-    registry->counter("m.even_only").add(salt);
-  }
-}
-
-TEST(RegistryMergeTest, SumsCountersGaugesAndHistogramsAndCreatesMissing) {
-  Registry dest;
-  Registry src;
-  dest.counter("m.events").add(5);
-  src.counter("m.events").add(7);
-  src.gauge("m.level").set(-3);
-  src.histogram("m.depth").observe(2.0);
-  src.histogram("m.depth").observe(4.0);
-  dest.merge(src);
-  EXPECT_EQ(dest.counter("m.events").value(), 12u);
-  EXPECT_EQ(dest.gauge("m.level").value(), -3);
-  const HistogramSnapshot depth = dest.histogram("m.depth").snapshot();
-  EXPECT_EQ(depth.count(), 2u);
-  EXPECT_DOUBLE_EQ(depth.stats.mean(), 3.0);
-  EXPECT_EQ(dest.size(), 3u);
-  // The source is read-only in the exchange.
-  EXPECT_EQ(src.counter("m.events").value(), 7u);
-}
-
-TEST(RegistryMergeTest, MergeIsCommutative) {
-  Registry a;
-  Registry b;
-  fill_shard(&a, 1);
-  fill_shard(&b, 2);
-  Registry ab;
-  ab.merge(a);
-  ab.merge(b);
-  Registry ba;
-  ba.merge(b);
-  ba.merge(a);
-  expect_same_state(ab, ba);
-}
-
-TEST(RegistryMergeTest, MergeIsAssociative) {
-  Registry a;
-  Registry b;
-  Registry c;
-  fill_shard(&a, 1);
-  fill_shard(&b, 2);
-  fill_shard(&c, 3);
-  // ((a + b) + c)
-  Registry left;
-  left.merge(a);
-  left.merge(b);
-  left.merge(c);
-  // (a + (b + c))
-  Registry bc;
-  bc.merge(b);
-  bc.merge(c);
-  Registry right;
-  right.merge(a);
-  right.merge(bc);
-  expect_same_state(left, right);
-}
-
-TEST(RegistryMergeTest, SelfMergeAborts) {
-  Registry registry;
-  registry.counter("m.events").add(1);
-  EXPECT_DEATH(registry.merge(registry), "itself");
-}
-
-TEST(RegistryMergeTest, KindMismatchAborts) {
-  Registry dest;
-  Registry src;
-  dest.counter("m.events").add(1);
-  src.gauge("m.events").set(1);
-  EXPECT_DEATH(dest.merge(src), "different kind");
-}
-
-// Regression: two shards registering one histogram name with different
-// bucket shapes used to merge silently, summing counts across buckets
-// that meant different value ranges. The abort must name the metric so
-// the offending registration is findable.
-TEST(RegistryMergeTest, HistogramShapeMismatchAbortsWithMetricName) {
-  Registry dest;
-  Registry src;
-  dest.histogram("m.depth", std::vector<double>{1.0, 2.0}).observe(0.5);
-  src.histogram("m.depth", std::vector<double>{4.0, 8.0}).observe(0.5);
-  EXPECT_DEATH(dest.merge(src), "m.depth");
-}
-
-TEST(RegistryMergeTest, DefaultShapedPopulatedCellRefusesCustomSource) {
-  Registry dest;
-  Registry src;
-  dest.histogram("m.depth").observe(1.0);  // default base-2, has samples
-  src.histogram("m.depth", std::vector<double>{2.0}).observe(1.0);
-  EXPECT_DEATH(dest.merge(src), "m.depth");
-}
-
-TEST(RegistryMergeTest, MergeCreatesCustomShapedCellsInTheDestination) {
-  Registry dest;
-  Registry src;
-  src.histogram("m.depth", std::vector<double>{2.0, 4.0}).observe(1.0);
-  dest.merge(src);
-  // The fresh destination cell adopted the source's shape, so a second
-  // merge of the same shard accumulates instead of aborting.
-  EXPECT_EQ(dest.histogram("m.depth").bounds(),
-            (std::vector<double>{2.0, 4.0}));
-  EXPECT_EQ(dest.histogram("m.depth").snapshot().count(), 1u);
-  dest.merge(src);
-  EXPECT_EQ(dest.histogram("m.depth").snapshot().count(), 2u);
-}
-
 TEST(RegistryTest, HistogramReRegistrationMustKeepItsBounds) {
   Registry registry;
   Histogram& a = registry.histogram("m.lat", std::vector<double>{1.0, 2.0});
