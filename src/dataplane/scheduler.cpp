@@ -10,6 +10,10 @@ DrrScheduler::DrrScheduler(SchedulerConfig config)
     : config_(std::move(config)) {
   VR_REQUIRE(config_.port_count >= 1, "need at least one port");
   VR_REQUIRE(config_.vn_count >= 1, "need at least one VN");
+  // tick() reports VN and port indices as 16-bit VnId and NextHop.
+  VR_REQUIRE(config_.port_count <= 0xffffu,
+             "port count exceeds the next-hop width");
+  VR_REQUIRE(config_.vn_count <= 0xffffu, "VN count exceeds the VNID width");
   VR_REQUIRE(config_.queue_capacity >= 1, "queues need capacity");
   VR_REQUIRE(config_.bytes_per_cycle > 0.0, "link rate must be positive");
   if (!config_.vn_weights.empty()) {
@@ -85,6 +89,7 @@ void DrrScheduler::tick(std::uint64_t cycle, std::vector<EgressRecord>* out) {
         continue;
       }
       if (!port.quantum_added) {
+        // narrow-ok: vn < vn_count <= 0xffff, required by the constructor
         port.deficit[vn] += quantum_for(static_cast<net::VnId>(vn));
         port.quantum_added = true;
         ++stats_.arbiter_grants_per_vn[vn];
@@ -101,6 +106,8 @@ void DrrScheduler::tick(std::uint64_t cycle, std::vector<EgressRecord>* out) {
         egress_wait_hist_.observe(
             static_cast<double>(cycle - packet.enqueue_cycle));
         out->push_back(EgressRecord{
+            // narrow-ok: port_index < port_count <= 0xffff, required by
+            // the constructor
             cycle, packet.vnid, static_cast<net::NextHop>(port_index),
             packet.bytes, cycle - packet.enqueue_cycle});
       }

@@ -50,6 +50,8 @@ void publish_trace_metrics(const VirtualRouter& router,
 SeparateRouter::SeparateRouter(std::vector<TrieView> tries,
                                std::size_t stage_count) {
   VR_REQUIRE(!tries.empty(), "separate router needs at least one VN");
+  // tick() restores each result's VNID from its engine index.
+  VR_REQUIRE(tries.size() <= 0xffffu, "VN count exceeds the VNID width");
   engines_.reserve(tries.size());
   for (const TrieView& view : tries) {
     VR_REQUIRE(view.vn_count() == 1,
@@ -77,6 +79,7 @@ void SeparateRouter::tick(std::vector<LookupResult>* out) {
     engines_[e].tick(out);
     // Restore the owning VN on results produced by this engine.
     for (std::size_t i = before; i < out->size(); ++i) {
+      // narrow-ok: e < engine count <= 0xffff, required by the constructor
       (*out)[i].packet.vnid = static_cast<net::VnId>(e);
     }
   }

@@ -77,6 +77,7 @@ FlatMultibitTrie::Writer::Writer(
   for (std::size_t v = 0; v < tables.size(); ++v) {
     VR_REQUIRE(tables[v] != nullptr, "null table in merged multibit input");
     for (const net::Route& route : tables[v]->routes()) {
+      // narrow-ok: v < vn_count <= 0xffff, required by the image constructor
       refresh(static_cast<net::VnId>(v), route.prefix, route);
     }
   }

@@ -30,8 +30,9 @@ SCOPED_SUBDIRS = {"trie", "dataplane", "pipeline"}
 
 NARROW_CAST = re.compile(
     r"static_cast<\s*(?:std\s*::\s*)?"
-    r"(u?int(?:8|16|32)_t|NodeIndex|unsigned\s+(?:char|short)|"
-    r"signed\s+char|char|short)\s*>")
+    r"(u?int(?:8|16|32)_t|unsigned\s+(?:char|short)|"
+    r"signed\s+char|char|short|"
+    r"(?:\w+\s*::\s*)*(?:NodeIndex|VnId|NextHop))\s*>")
 
 
 @core.register

@@ -53,10 +53,12 @@ EXPECTED = {
     ("metrics", "src/obs/bad_metrics.cpp", 15),
     # Typed-header mode: idle_power flagged, units-ok'd calib_power not.
     ("units", "src/power/bad_units.hpp", 9),
-    # Unguarded cast, and the cast under a reason-less narrow-ok; the
-    # checked_* helper and the justified cast are absent.
+    # Unguarded cast, the cast under a reason-less narrow-ok, and the
+    # unguarded cast to a namespace-qualified index type; the checked_*
+    # helper and the justified cast are absent.
     ("narrowing", "src/trie/bad_narrowing.cpp", 18),
     ("narrowing", "src/trie/bad_narrowing.cpp", 23),
+    ("narrowing", "src/trie/bad_narrowing.cpp", 32),
     # The reason-less tag itself is a violation of the annotation rules.
     ("annotations", "src/trie/bad_narrowing.cpp", 22),
     # Stale manifest entry fixture.stale; fixture.known and the cycle
