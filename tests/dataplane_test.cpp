@@ -340,6 +340,17 @@ TEST(SchedulerTest, OutOfRangePortAborts) {
                "egress port out of range");
 }
 
+TEST(SchedulerTest, CountsBeyondSixteenBitIdsAbort) {
+  // tick() reports VN and port indices as 16-bit VnId and NextHop values.
+  SchedulerConfig config;
+  config.port_count = 1;
+  config.vn_count = 0x10000;
+  EXPECT_DEATH((void)DrrScheduler(config), "VNID width");
+  config.vn_count = 1;
+  config.port_count = 0x10000;
+  EXPECT_DEATH((void)DrrScheduler(config), "next-hop width");
+}
+
 TEST(SchedulerTest, RejectedCountsTailDrops) {
   SchedulerConfig config = two_vn_config();
   config.queue_capacity = 4;

@@ -317,6 +317,12 @@ TEST_F(RouterFixture, SeparateRouterRoutesByVnid) {
   }
 }
 
+TEST_F(RouterFixture, SeparateRouterRejectsMoreEnginesThanVnids) {
+  // tick() restores each result's VNID, a 16-bit VnId, from its engine.
+  const std::vector<TrieView> views(0x10000, views_.front());
+  EXPECT_DEATH((void)SeparateRouter(views, kStages), "VNID width");
+}
+
 TEST_F(RouterFixture, MergedRouterMatchesPerVnTables) {
   MergedRouter router(*merged_, kStages);
   net::TrafficConfig config;
