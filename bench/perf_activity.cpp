@@ -1,12 +1,12 @@
-// perf_activity — the two-backend dynamic-power validation experiment
+// perf_activity — the two-model dynamic-power validation experiment
 // (DESIGN.md §13). Drives the full data plane (parser -> lookup -> editor
 // -> DRR egress) over four trace shapes (uniform, bursty, diurnal,
 // per-VN-skewed) for each scheme {NV, VS, VM} and VN count K, then prices
 // the same run twice:
 //
-//   * MuModel      — the paper's analytical µ-weighting, fed the NOMINAL
-//                    per-VN utilization the traffic config promises (what
-//                    a capacity planner would write down);
+//   * AnalyticalModel::per_vn_dynamic_w — the paper's µ-weighting, fed
+//                    the NOMINAL per-VN utilization the traffic config
+//                    promises (what a capacity planner would write down);
 //   * ActivityModel — per-event energies over the counters the dataplane
 //                    actually measured.
 //
@@ -29,7 +29,7 @@
 #include "fpga/device.hpp"
 #include "netbase/table_gen.hpp"
 #include "power/activity_model.hpp"
-#include "power/power_model.hpp"
+#include "power/analytical_model.hpp"
 #include "trie/memory_layout.hpp"
 #include "trie/unibit_trie.hpp"
 #include "virt/merged_trie.hpp"
@@ -73,7 +73,8 @@ struct Row {
 };
 
 Row price_run(net::TraceShape shape, power::Scheme scheme,
-              const power::ModelContext& ctx, const power::MuModel& mu_model,
+              const power::ModelContext& ctx,
+              const power::AnalyticalModel& mu_model,
               const power::ActivityModel& act_model) {
   Row row;
   row.shape = shape;
@@ -120,7 +121,7 @@ int main(int argc, char** argv) {
       net::TraceShape::kUniform, net::TraceShape::kBursty,
       net::TraceShape::kDiurnal, net::TraceShape::kSkewed};
 
-  const power::MuModel mu_model(fpga::DeviceSpec::xc6vlx760());
+  const power::AnalyticalModel mu_model(fpga::DeviceSpec::xc6vlx760());
   const power::ActivityModel act_model;
   std::vector<Row> rows;
 

@@ -28,7 +28,6 @@
 #include "fpga/device.hpp"
 #include "netbase/table_gen.hpp"
 #include "power/activity_model.hpp"
-#include "power/power_model.hpp"
 #include "trie/memory_layout.hpp"
 #include "trie/unibit_trie.hpp"
 #include "virt/merged_trie.hpp"

@@ -66,7 +66,6 @@ Estimate PowerEstimator::estimate(const Scenario& scenario,
   op.freq_mhz = out.freq_mhz;
   op.utilization = scenario.utilization;
 
-  const trie::NodeEncoding encoding;
   switch (scenario.scheme) {
     case power::Scheme::kNonVirtualized:
     case power::Scheme::kSeparate: {
@@ -80,48 +79,17 @@ Estimate PowerEstimator::estimate(const Scenario& scenario,
       out.power = scenario.scheme == power::Scheme::kNonVirtualized
                       ? model_.estimate_nv(engines, op)
                       : model_.estimate_vs(engines, op);
-      // Resources (Eqs. 1/3) from the per-VN memory image.
-      trie::StageMemory per_vn;
-      per_vn.pointer_bits.assign(workload.per_vn_engine.stage_bits.size(), 0);
-      per_vn.nhi_bits.assign(workload.per_vn_engine.stage_bits.size(), 0);
-      // Recompute split from the representative stats for reporting.
-      const trie::StageMapping mapping(
-          workload.representative_stats.nodes_per_level.size(),
-          scenario.stages, trie::MappingPolicy::kOneLevelPerStage);
-      per_vn = trie::stage_memory(
-          trie::occupancy(workload.representative_stats, mapping), encoding,
-          1);
       out.resources = power::replicated_resources(
-          scenario.scheme, per_vn, scenario.vn_count, scenario.bram_policy);
+          scenario.scheme, workload.per_vn_memory, scenario.vn_count,
+          scenario.bram_policy);
       break;
     }
-    case power::Scheme::kMerged: {
+    case power::Scheme::kMerged:
       out.power = model_.estimate_vm(workload.merged_engine,
                                      scenario.vn_count, op);
-      // Rebuild the pointer/NHI split for the resource report.
-      trie::StageMemory merged_memory;
-      if (scenario.merged_source == MergedSource::kStructural &&
-          workload.merged_trie.has_value()) {
-        const trie::TrieStats merged_stats =
-            workload.merged_trie->stats_as_trie();
-        const trie::StageMapping merged_mapping(
-            merged_stats.nodes_per_level.size(), scenario.stages,
-            trie::MappingPolicy::kOneLevelPerStage);
-        merged_memory = trie::stage_memory(
-            trie::occupancy(merged_stats, merged_mapping), encoding,
-            scenario.vn_count);
-      } else {
-        const trie::StageMapping mapping(
-            workload.representative_stats.nodes_per_level.size(),
-            scenario.stages, trie::MappingPolicy::kOneLevelPerStage);
-        merged_memory = virt::predict_merged_stage_memory(
-            workload.representative_stats, mapping, encoding,
-            scenario.vn_count, workload.alpha_used, scenario.merged_rule);
-      }
       out.resources = power::merged_resources(
-          merged_memory, scenario.vn_count, scenario.bram_policy);
+          workload.merged_memory, scenario.vn_count, scenario.bram_policy);
       break;
-    }
   }
 
   out.fit = power::check_fit(out.resources, device_);

@@ -40,9 +40,9 @@ Workload realize_workload(const Scenario& scenario, bool keep_tables) {
                                        .nodes_per_level.size(),
                                    scenario.stages,
                                    trie::MappingPolicy::kOneLevelPerStage);
-  const trie::StageMemory per_vn_memory = trie::stage_memory(
+  workload.per_vn_memory = trie::stage_memory(
       trie::occupancy(workload.representative_stats, mapping), encoding, 1);
-  workload.per_vn_engine = engine_from_memory(per_vn_memory);
+  workload.per_vn_engine = engine_from_memory(workload.per_vn_memory);
 
   // Assumption 2 relaxation: per-VN tables of spread sizes. VN v's size
   // is nominal * spread^x with x swept linearly over [-1, 1] across the
@@ -120,18 +120,16 @@ Workload realize_workload(const Scenario& scenario, bool keep_tables) {
       const trie::StageMapping merged_mapping(
           merged_stats.nodes_per_level.size(), scenario.stages,
           trie::MappingPolicy::kOneLevelPerStage);
-      const trie::StageMemory merged_memory = trie::stage_memory(
+      workload.merged_memory = trie::stage_memory(
           trie::occupancy(merged_stats, merged_mapping), encoding,
           scenario.vn_count);
-      workload.merged_engine = engine_from_memory(merged_memory);
     } else {
       workload.alpha_used = scenario.alpha;
-      const trie::StageMemory merged_memory =
-          virt::predict_merged_stage_memory(
-              workload.representative_stats, mapping, encoding,
-              scenario.vn_count, scenario.alpha, scenario.merged_rule);
-      workload.merged_engine = engine_from_memory(merged_memory);
+      workload.merged_memory = virt::predict_merged_stage_memory(
+          workload.representative_stats, mapping, encoding,
+          scenario.vn_count, scenario.alpha, scenario.merged_rule);
     }
+    workload.merged_engine = engine_from_memory(workload.merged_memory);
   }
   return workload;
 }

@@ -21,12 +21,19 @@ struct Workload {
   /// Structural statistics of the representative (leaf-pushed if
   /// configured) per-VN trie.
   trie::TrieStats representative_stats;
+  /// Pointer/NHI stage memory of the representative per-VN trie (the
+  /// Eqs. 1/3 resource input).
+  trie::StageMemory per_vn_memory;
   /// Stage-memory image of one VN's pipeline (NV/VS engines).
   power::EngineSpec per_vn_engine;
   /// Per-VN engines under the Assumption 2 relaxation
   /// (Scenario::table_size_spread > 0); empty when all VNs share
   /// per_vn_engine.
   std::vector<power::EngineSpec> heterogeneous_engines;
+  /// Pointer/NHI stage memory of the merged trie (merged scheme only;
+  /// empty otherwise): structural or overlap-predicted, per the scenario's
+  /// merged source. The Eq. 5 resource input.
+  trie::StageMemory merged_memory;
   /// Stage-memory image of the merged pipeline (merged scheme only; empty
   /// stage_bits otherwise).
   power::EngineSpec merged_engine;

@@ -20,13 +20,12 @@
 // concurrent requesters for the same key block on the future instead of
 // duplicating the build. Values are immutable shared_ptr<const Workload>.
 //
-// Budget: completed entries are kept on an LRU list and evicted
-// least-recently-used-first whenever the cache exceeds its byte or entry
-// budget, so a long multi-scenario sweep cannot grow the process
-// monotonically. In-flight builds are never evicted (their waiters hold
-// the shared_future), and eviction cannot break build-once deduplication
-// of concurrent requests — only completed entries leave. Observability:
-// hits/misses/evictions/build time/resident bytes are obs metrics; the
+// Residency: every completed entry stays until clear(). The key space a
+// run touches is small — Figs. 4–8 and perf_sweep peak at 90 entries per
+// process, and the placement oracle's scenarios are bounded by 3 modes ×
+// 8 VNs × 4 table buckets = 96 — so nothing is ever evicted.
+//
+// Observability: hits/misses/build time/entries are obs metrics; the
 // process-global cache registers them in obs::Registry::global() under
 // "workload_cache.*".
 #pragma once
@@ -34,7 +33,6 @@
 #include <cstdint>
 #include <functional>
 #include <future>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -53,9 +51,7 @@ class WorkloadCache {
   struct Stats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
-    std::uint64_t resident_bytes = 0;  ///< approximate, completed entries
-    std::uint64_t entries = 0;         ///< completed entries resident
+    std::uint64_t entries = 0;  ///< completed entries resident
   };
 
   /// Replacement realization function (tests inject failing or latching
@@ -78,23 +74,12 @@ class WorkloadCache {
 
   [[nodiscard]] Stats stats() const;
 
-  /// Caps the resident set: completed entries are LRU-evicted until both
-  /// budgets hold. Applied on every completed build (and immediately).
-  void set_budget(std::uint64_t max_resident_bytes, std::size_t max_entries);
-
-  [[nodiscard]] std::uint64_t max_resident_bytes() const;
-  [[nodiscard]] std::size_t max_entries() const;
-
   /// Drops all entries and resets the counters.
   void clear();
 
   /// The cache key of a scenario (exposed for tests and diagnostics).
   [[nodiscard]] static std::string key(const Scenario& scenario,
                                        bool keep_tables);
-
-  /// Approximate heap footprint of one realized workload (the unit the
-  /// byte budget is accounted in; exposed for tests).
-  [[nodiscard]] static std::uint64_t approx_bytes(const Workload& workload);
 
   /// Process-wide cache shared by the figure builders and bench binaries.
   [[nodiscard]] static WorkloadCache& global();
@@ -104,52 +89,30 @@ class WorkloadCache {
 
   struct Slot {
     Entry future;
-    std::uint64_t bytes = 0;
-    bool ready = false;
     /// Identity of the in-flight build that installed this slot. A build
     /// finishing (successfully or not) only touches the slot if the
     /// generation still matches — clear() or a failed-then-retried build
     /// may have re-installed the key with a different build in between,
-    /// and acting on someone else's slot would double-charge the byte
-    /// budget or erase a healthy entry.
+    /// and acting on someone else's slot would count an entry twice or
+    /// erase a healthy one.
     std::uint64_t generation = 0;
-    /// Position in lru_ (valid only when ready).
-    std::list<std::string>::iterator lru_it;
   };
-
-  /// Marks a finished build resident and enforces the budget. Must be
-  /// called with mu_ held. No-op when the slot was removed or re-installed
-  /// by a different build (generation mismatch).
-  void complete_locked(const std::string& cache_key, std::uint64_t generation,
-                       const Workload& workload);
-  void enforce_budget_locked();
 
   Builder builder_;
   mutable std::mutex mu_;
   std::unordered_map<std::string, Slot> entries_;  // guarded_by(mu_)
-  /// Completed entries, most recently used first.
-  std::list<std::string> lru_;         // guarded_by(mu_)
-  std::uint64_t resident_bytes_ = 0;   // guarded_by(mu_)
   std::uint64_t ready_entries_ = 0;    // guarded_by(mu_)
   std::uint64_t next_generation_ = 0;  // guarded_by(mu_)
-  std::uint64_t max_resident_bytes_;   // guarded_by(mu_)
-  std::size_t max_entries_;            // guarded_by(mu_)
 
   // Metric cells: own_* back a standalone cache; the pointers target the
   // registry's cells when one was supplied.
-  obs::Counter own_hits_, own_misses_, own_evictions_;
+  obs::Counter own_hits_, own_misses_;
   obs::Histogram own_build_ns_;
-  obs::Gauge own_resident_bytes_gauge_, own_entries_gauge_;
+  obs::Gauge own_entries_gauge_;
   obs::Counter* hits_;
   obs::Counter* misses_;
-  obs::Counter* evictions_;
   obs::Histogram* build_ns_;
-  obs::Gauge* resident_bytes_gauge_;
   obs::Gauge* entries_gauge_;
 };
-
-/// Realizes `scenario` via the process-global cache.
-[[nodiscard]] std::shared_ptr<const Workload> realize_workload_cached(
-    const Scenario& scenario, bool keep_tables = false);
 
 }  // namespace vr::core

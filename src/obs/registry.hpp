@@ -8,7 +8,7 @@
 // Naming convention (DESIGN.md §11): lowercase dot-separated
 // `<subsystem>.<metric>` with the unit spelled as the last name component
 // when the value is dimensioned (`sweep.task_run_ns`,
-// `dataplane.egress_wait_cycles`, `workload_cache.resident_bytes`).
+// `dataplane.egress_wait_cycles`, `dataplane.vn_bytes`).
 // Dimensionless counts carry no suffix (`workload_cache.hits`). Label keys
 // distinguish members of one family (`figures.build_ns{figure=fig5}`).
 #pragma once

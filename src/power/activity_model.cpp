@@ -63,8 +63,7 @@ ActivityPower ActivityModel::estimate(const ModelContext& ctx) const {
   const std::size_t stages = act.stage_count();
   VR_REQUIRE(stages >= 1, "activity counters must cover the pipeline");
 
-  const EventEnergies energies =
-      energies_.has_value() ? *energies_ : EventEnergies::from_xpe(ctx.op.grade);
+  const EventEnergies energies = EventEnergies::from_xpe(ctx.op.grade);
   const units::Picojoules logic_pj{
       fpga::XpeTables::logic_stage_uw_per_mhz(ctx.op.grade).value()};
   const units::Cycles window{static_cast<double>(act.cycles)};
@@ -145,11 +144,6 @@ ActivityPower ActivityModel::estimate(const ModelContext& ctx) const {
     out.editor_w += editor_w;
   }
   return out;
-}
-
-std::vector<units::Watts> ActivityModel::per_vn_dynamic_w(
-    const ModelContext& ctx) const {
-  return estimate(ctx).per_vn_w;
 }
 
 }  // namespace vr::power

@@ -1,17 +1,17 @@
-// The activity-driven dynamic-power backend (DESIGN.md §13): charges a
+// The activity-driven dynamic-power estimate (DESIGN.md §13): charges a
 // per-event energy for every discrete event the dataplane counted, in the
 // Orion/hornet style, instead of scaling full-engine power by a per-VN
 // utilization scalar. Every coefficient derives from the same XPE tables
-// the analytical model uses, so on a uniform trace the two backends must
-// agree; on shaped traffic the divergence is the measurement.
+// the analytical model uses, so on a uniform trace the two must agree; on
+// shaped traffic the divergence is the measurement.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "common/units.hpp"
 #include "fpga/xpe_tables.hpp"
-#include "power/power_model.hpp"
+#include "power/activity.hpp"
+#include "power/analytical_model.hpp"
 
 namespace vr::power {
 
@@ -32,12 +32,13 @@ struct EventEnergies {
   [[nodiscard]] static EventEnergies from_xpe(fpga::SpeedGrade grade) noexcept;
 };
 
-/// The activity backend's full answer. `per_vn_w` is the lookup-core
+/// The activity model's full answer. `per_vn_w` is the lookup-core
 /// dynamic power (logic + memory, charged per busy stage-cycle) — the
-/// quantity directly comparable with MuModel::per_vn_dynamic_w. Everything
-/// else is refinement the µ-model cannot express: the clock-gating-aware
-/// memory figure (only stages that actually read charge BRAM energy) and
-/// the non-lookup overheads (parser, buffers, crossbar, arbiter, editor).
+/// quantity directly comparable with AnalyticalModel::per_vn_dynamic_w.
+/// Everything else is refinement the µ-model cannot express: the
+/// clock-gating-aware memory figure (only stages that actually read charge
+/// BRAM energy) and the non-lookup overheads (parser, buffers, crossbar,
+/// arbiter, editor).
 struct ActivityPower {
   /// Lookup-core (logic + memory) watts per VN, busy-charged.
   std::vector<units::Watts> per_vn_w;
@@ -72,26 +73,13 @@ struct ActivityPower {
 };
 
 /// Per-event energy accounting over measured ActivityCounters. Requires
-/// ctx.activity; stage counts must match the context's engine specs.
-class ActivityModel final : public DynamicPowerModel {
+/// ctx.activity; stage counts must match the context's engine specs. The
+/// overhead events are charged EventEnergies::from_xpe at the operating
+/// point's speed grade.
+class ActivityModel {
  public:
-  /// Charges `energies` per overhead event; when unset, energies derive
-  /// from the operating point's speed grade at estimate time.
-  explicit ActivityModel(std::optional<EventEnergies> energies = std::nullopt)
-      : energies_(energies) {}
-
-  [[nodiscard]] const char* name() const noexcept override {
-    return "activity-events";
-  }
-
-  [[nodiscard]] std::vector<units::Watts> per_vn_dynamic_w(
-      const ModelContext& ctx) const override;
-
-  /// The rich entry point: every component the counters can resolve.
+  /// Every component the counters can resolve.
   [[nodiscard]] ActivityPower estimate(const ModelContext& ctx) const;
-
- private:
-  std::optional<EventEnergies> energies_;
 };
 
 }  // namespace vr::power

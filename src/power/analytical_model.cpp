@@ -1,5 +1,6 @@
 #include "power/analytical_model.hpp"
 
+#include <algorithm>
 #include <numeric>
 
 #include "common/error.hpp"
@@ -98,6 +99,45 @@ PowerBreakdown AnalyticalModel::estimate_vm(const EngineSpec& merged_engine,
   out.static_w = device_.static_power_w(op.grade);
   engine_dynamic_w(merged_engine, aggregate, op, &out.logic_w,
                    &out.memory_w);
+  return out;
+}
+
+std::vector<units::Watts> AnalyticalModel::per_vn_dynamic_w(
+    const ModelContext& ctx) const {
+  VR_REQUIRE(ctx.vn_count >= 1, "model context needs at least one VN");
+  const std::vector<double> mu = resolve_utilization(ctx.op, ctx.vn_count);
+  // One pass through an engine: every stage, full power. Logic and memory
+  // go into one sum, stage by stage.
+  const auto pass_w = [&](const EngineSpec& engine) {
+    units::Watts w;
+    for (const std::uint64_t bits : engine.stage_bits) {
+      w += stage_logic_power_w(ctx.op);
+      w += stage_memory_power_w(units::Bits{bits}, ctx.op);
+    }
+    return w;
+  };
+  std::vector<units::Watts> out(ctx.vn_count);
+  if (ctx.scheme == Scheme::kMerged) {
+    VR_REQUIRE(ctx.merged_engine != nullptr,
+               "merged scheme needs a merged engine spec");
+    // Eq. 6: one engine at the aggregate utilization; each VN's share of
+    // the time-shared engine is its share of the offered load.
+    const units::Watts per_pass = pass_w(*ctx.merged_engine);
+    const double offered = std::accumulate(mu.begin(), mu.end(), 0.0);
+    const double served = std::min(1.0, offered);
+    for (std::size_t i = 0; i < ctx.vn_count; ++i) {
+      const double share = offered <= 0.0 ? 0.0 : mu[i] / offered;
+      out[i] = per_pass * (served * share);
+    }
+    return out;
+  }
+  // Eqs. 2/4 (NV and VS share the dynamic term): VN i's dedicated engine
+  // at µ_i.
+  VR_REQUIRE(ctx.engines.size() == ctx.vn_count,
+             "separate schemes need one engine spec per VN");
+  for (std::size_t i = 0; i < ctx.vn_count; ++i) {
+    out[i] = pass_w(ctx.engines[i]) * mu[i];
+  }
   return out;
 }
 

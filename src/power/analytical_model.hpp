@@ -62,6 +62,25 @@ struct PowerBreakdown {
   }
 };
 
+struct ActivityCounters;
+
+/// Everything a dynamic-power estimate may consult. The analytical model
+/// uses the engine specs and the operating point's µ vector; ActivityModel
+/// additionally requires `activity` (and charges what it counted).
+struct ModelContext {
+  Scheme scheme = Scheme::kSeparate;
+  /// Per-VN engines (NV/VS); must have one entry per VN. Ignored by the
+  /// merged scheme.
+  std::span<const EngineSpec> engines;
+  /// Merged engine (VM only).
+  const EngineSpec* merged_engine = nullptr;
+  std::size_t vn_count = 0;
+  OperatingPoint op;
+  /// Measured dataplane events; required by ActivityModel, ignored by
+  /// AnalyticalModel.
+  const ActivityCounters* activity = nullptr;
+};
+
 /// The analytical model, bound to a device.
 class AnalyticalModel {
  public:
@@ -82,6 +101,13 @@ class AnalyticalModel {
   [[nodiscard]] PowerBreakdown estimate_vm(const EngineSpec& merged_engine,
                                            std::size_t vn_count,
                                            const OperatingPoint& op) const;
+
+  /// The dynamic (logic + memory) term of Eqs. 2/4/6 attributed to each
+  /// VN: P_i = µ_i · Σ_j (P(L) + P(M_{i,j})) under NV/VS, and under VM the
+  /// merged engine at min(1, Σµ) split by each VN's share of the offered
+  /// load. Leakage is scheme bookkeeping, not a per-VN quantity.
+  [[nodiscard]] std::vector<units::Watts> per_vn_dynamic_w(
+      const ModelContext& ctx) const;
 
   /// P(M_{i,j}) for one stage of `bits` bits — Table III applied through
   /// the allocator. Exposed for tests and the Table III bench.

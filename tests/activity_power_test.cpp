@@ -1,8 +1,8 @@
-// Cross-validation of the two dynamic-power backends (DESIGN.md §13),
+// Cross-validation of the two dynamic-power estimates (DESIGN.md §13),
 // run under `ctest -L power-model`. The acceptance bound: on a uniform
-// trace, the activity backend's per-VN dynamic watts agree with the
-// analytical µ backend within 10% per VN, for all three schemes and
-// K ∈ {2, 4, 8}. Both backends price the same XPE coefficients, so on
+// trace, the activity model's per-VN dynamic watts agree with the
+// analytical model's per-VN µ view within 10% per VN, for all three
+// schemes and K ∈ {2, 4, 8}. Both price the same XPE coefficients, so on
 // steady traffic the only gap is pipeline ramp-up/drain edges and BRAM
 // block quantization — far inside 10%. Shaped traffic is the benches'
 // business (bench/perf_activity); this file pins the agreement that makes
@@ -18,7 +18,7 @@
 #include "netbase/table_gen.hpp"
 #include "netbase/traffic.hpp"
 #include "power/activity_model.hpp"
-#include "power/power_model.hpp"
+#include "power/analytical_model.hpp"
 #include "trie/memory_layout.hpp"
 #include "trie/unibit_trie.hpp"
 #include "virt/merged_trie.hpp"
@@ -114,7 +114,7 @@ OperatingPoint operating_point(std::vector<double> mu) {
 
 /// The `ctest -L power-model` acceptance bound.
 TEST(PowerModelCrossValidation, BackendsAgreeWithinTenPercentPerVn) {
-  const MuModel mu_model(fpga::DeviceSpec::xc6vlx760());
+  const AnalyticalModel analytical(fpga::DeviceSpec::xc6vlx760());
   const ActivityModel act_model;
   for (const std::size_t k : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
     const UniformRun run = run_uniform(k);
@@ -132,13 +132,13 @@ TEST(PowerModelCrossValidation, BackendsAgreeWithinTenPercentPerVn) {
         ctx.engines = run.engines;
       }
       // The measured µ is what a perfectly informed capacity planner would
-      // write down: feeding it to MuModel makes the 10% bound a model-
-      // equivalence statement, not a test of the traffic generator.
+      // write down: feeding it to the analytical model makes the 10% bound
+      // a model-equivalence statement, not a test of the traffic generator.
       ctx.op = operating_point(activity.utilization());
       ctx.activity = &activity;
 
-      const std::vector<units::Watts> mu_w = mu_model.per_vn_dynamic_w(ctx);
-      const std::vector<units::Watts> act_w = act_model.per_vn_dynamic_w(ctx);
+      const std::vector<units::Watts> mu_w = analytical.per_vn_dynamic_w(ctx);
+      const std::vector<units::Watts> act_w = act_model.estimate(ctx).per_vn_w;
       ASSERT_EQ(mu_w.size(), k);
       ASSERT_EQ(act_w.size(), k);
       for (std::size_t v = 0; v < k; ++v) {
@@ -156,9 +156,9 @@ TEST(PowerModelCrossValidation, BackendsAgreeWithinTenPercentPerVn) {
 }
 
 /// NV and VS have identical dynamic terms (Eqs. 2 vs 4 differ only in
-/// leakage bookkeeping); both backends must reproduce that identity.
+/// leakage bookkeeping); both models must reproduce that identity.
 TEST(PowerModelCrossValidation, NvAndVsDynamicTermsAreIdentical) {
-  const MuModel mu_model(fpga::DeviceSpec::xc6vlx760());
+  const AnalyticalModel analytical(fpga::DeviceSpec::xc6vlx760());
   const ActivityModel act_model;
   const UniformRun run = run_uniform(3);
   ModelContext ctx;
@@ -166,25 +166,27 @@ TEST(PowerModelCrossValidation, NvAndVsDynamicTermsAreIdentical) {
   ctx.engines = run.engines;
   ctx.op = operating_point(run.separate_activity.utilization());
   ctx.activity = &run.separate_activity;
-  for (const DynamicPowerModel* model :
-       {static_cast<const DynamicPowerModel*>(&mu_model),
-        static_cast<const DynamicPowerModel*>(&act_model)}) {
-    ctx.scheme = Scheme::kNonVirtualized;
-    const auto nv = model->per_vn_dynamic_w(ctx);
-    ctx.scheme = Scheme::kSeparate;
-    const auto vs = model->per_vn_dynamic_w(ctx);
+  const auto expect_identical = [](const std::vector<units::Watts>& nv,
+                                   const std::vector<units::Watts>& vs,
+                                   const char* model) {
     ASSERT_EQ(nv.size(), vs.size());
     for (std::size_t v = 0; v < nv.size(); ++v) {
-      EXPECT_DOUBLE_EQ(nv[v].value(), vs[v].value()) << model->name();
+      EXPECT_DOUBLE_EQ(nv[v].value(), vs[v].value()) << model;
     }
-  }
+  };
+  ctx.scheme = Scheme::kNonVirtualized;
+  const auto mu_nv = analytical.per_vn_dynamic_w(ctx);
+  const auto act_nv = act_model.estimate(ctx).per_vn_w;
+  ctx.scheme = Scheme::kSeparate;
+  expect_identical(mu_nv, analytical.per_vn_dynamic_w(ctx), "analytical");
+  expect_identical(act_nv, act_model.estimate(ctx).per_vn_w, "activity");
 }
 
-/// MuModel is a per-VN resolution of AnalyticalModel, not a reimplementation:
-/// its per-VN watts must sum to exactly the wrapped estimator's dynamic
-/// total for every scheme (the bit-identity that keeps the goldens honest).
-TEST(PowerModelCrossValidation, MuModelSumsToAnalyticalDynamic) {
-  const MuModel mu_model(fpga::DeviceSpec::xc6vlx760());
+/// The per-VN view is a resolution of the scheme estimators, not a second
+/// model: its watts must sum to each estimator's dynamic total (the
+/// bit-identity that keeps the goldens honest).
+TEST(PowerModelCrossValidation, PerVnDynamicSumsToSchemeEstimate) {
+  const AnalyticalModel model(fpga::DeviceSpec::xc6vlx760());
   const UniformRun run = run_uniform(4);
   // Skewed but sub-saturation µ so the VM served/offered clamp stays inert.
   const std::vector<double> mu = {0.4, 0.2, 0.1, 0.05};
@@ -197,8 +199,13 @@ TEST(PowerModelCrossValidation, MuModelSumsToAnalyticalDynamic) {
        {Scheme::kNonVirtualized, Scheme::kSeparate, Scheme::kMerged}) {
     ctx.scheme = scheme;
     units::Watts sum_w{0.0};
-    for (const units::Watts& w : mu_model.per_vn_dynamic_w(ctx)) sum_w += w;
-    const PowerBreakdown breakdown = mu_model.breakdown(ctx);
+    for (const units::Watts& w : model.per_vn_dynamic_w(ctx)) sum_w += w;
+    const PowerBreakdown breakdown =
+        scheme == Scheme::kNonVirtualized
+            ? model.estimate_nv(run.engines, ctx.op)
+        : scheme == Scheme::kSeparate
+            ? model.estimate_vs(run.engines, ctx.op)
+            : model.estimate_vm(run.merged_engine, ctx.vn_count, ctx.op);
     EXPECT_NEAR(sum_w.value(), breakdown.dynamic_w().value(), 1e-12)
         << to_string(scheme);
   }
@@ -286,7 +293,7 @@ TEST(ActivityModelTest, RequiresActivityCounters) {
   ctx.vn_count = 2;
   ctx.engines = run.engines;
   ctx.op = operating_point({0.3, 0.3});
-  EXPECT_DEATH((void)model.per_vn_dynamic_w(ctx), "activity");
+  EXPECT_DEATH((void)model.estimate(ctx), "activity");
 }
 
 TEST(ActivityModelTest, GatedMemoryNeverExceedsBusyCharged) {
@@ -333,18 +340,31 @@ TEST(ActivityModelTest, MismatchedStageCountsDie) {
 }
 
 TEST(ResolveMuTest, EmptyUtilizationMeansUniformShare) {
+  const AnalyticalModel model(fpga::DeviceSpec::xc6vlx760());
+  const std::vector<EngineSpec> engines(4, EngineSpec{{4096, 9216, 512}});
   ModelContext ctx;
+  ctx.scheme = Scheme::kSeparate;
   ctx.vn_count = 4;
-  const std::vector<double> mu = resolve_mu(ctx);
-  ASSERT_EQ(mu.size(), 4u);
-  for (const double m : mu) EXPECT_DOUBLE_EQ(m, 0.25);
+  ctx.engines = engines;
+  const std::vector<units::Watts> uniform = model.per_vn_dynamic_w(ctx);
+  ctx.op.utilization = {1.0, 1.0, 1.0, 1.0};
+  const std::vector<units::Watts> full = model.per_vn_dynamic_w(ctx);
+  ASSERT_EQ(uniform.size(), 4u);
+  for (std::size_t v = 0; v < uniform.size(); ++v) {
+    EXPECT_GT(full[v].value(), 0.0);
+    EXPECT_DOUBLE_EQ(uniform[v].value(), 0.25 * full[v].value());
+  }
 }
 
 TEST(ResolveMuTest, RejectsWrongSizeVector) {
+  const AnalyticalModel model(fpga::DeviceSpec::xc6vlx760());
+  const std::vector<EngineSpec> engines(4, EngineSpec{{4096, 9216, 512}});
   ModelContext ctx;
+  ctx.scheme = Scheme::kSeparate;
   ctx.vn_count = 4;
+  ctx.engines = engines;
   ctx.op.utilization = {0.5, 0.5};
-  EXPECT_DEATH((void)resolve_mu(ctx), "utilization");
+  EXPECT_DEATH((void)model.per_vn_dynamic_w(ctx), "utilization");
 }
 
 }  // namespace

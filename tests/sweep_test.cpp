@@ -237,74 +237,6 @@ TEST(WorkloadCacheTest, ConcurrentRealizeBuildsOnce) {
   EXPECT_EQ(cache.stats().hits, 15u);
 }
 
-// ------------------------------------------------------- cache LRU budget --
-
-Scenario seeded_scenario(std::uint64_t seed) {
-  Scenario s = small_scenario();
-  s.seed = seed;
-  return s;
-}
-
-TEST(WorkloadCacheTest, EntryBudgetEvictsLeastRecentlyUsed) {
-  WorkloadCache cache;
-  cache.set_budget(std::uint64_t{1} << 40, 2);
-  const std::shared_ptr<const Workload> a = cache.realize(seeded_scenario(1));
-  (void)cache.realize(seeded_scenario(2));
-  (void)cache.realize(seeded_scenario(1));  // touch: 2 is now least recent
-  (void)cache.realize(seeded_scenario(3));  // over budget: evicts 2
-  EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_LE(cache.stats().entries, 2u);
-
-  // The touched entry survived...
-  const std::uint64_t hits_before = cache.stats().hits;
-  const std::shared_ptr<const Workload> a2 =
-      cache.realize(seeded_scenario(1));
-  EXPECT_EQ(a2.get(), a.get());
-  EXPECT_EQ(cache.stats().hits, hits_before + 1);
-
-  // ...and the evicted one rebuilds on the next request.
-  const std::uint64_t misses_before = cache.stats().misses;
-  (void)cache.realize(seeded_scenario(2));
-  EXPECT_EQ(cache.stats().misses, misses_before + 1);
-}
-
-TEST(WorkloadCacheTest, ByteBudgetKeepsResidentSetBounded) {
-  WorkloadCache cache;
-  const std::shared_ptr<const Workload> first =
-      cache.realize(seeded_scenario(10));
-  const std::uint64_t one = WorkloadCache::approx_bytes(*first);
-  ASSERT_GT(one, 0u);
-  const std::uint64_t budget = one + one / 2;  // room for ~1.5 workloads
-  cache.set_budget(budget, 1000);
-  for (std::uint64_t seed = 11; seed < 16; ++seed) {
-    (void)cache.realize(seeded_scenario(seed));
-    EXPECT_LE(cache.stats().resident_bytes, budget);
-  }
-  EXPECT_GE(cache.stats().evictions, 4u);
-  EXPECT_GE(cache.stats().entries, 1u);  // newest entry stays resident
-}
-
-TEST(WorkloadCacheTest, TightBudgetStillDeduplicatesConcurrentBuilds) {
-  WorkloadCache cache;
-  cache.set_budget(std::uint64_t{1} << 40, 1);
-  const Scenario s = seeded_scenario(20);
-  const SweepRunner runner(8);
-  const std::vector<const Workload*> ptrs =
-      runner.map(16, [&](std::size_t) -> const Workload* {
-        return cache.realize(s).get();
-      });
-  for (const Workload* p : ptrs) {
-    EXPECT_EQ(p, ptrs.front());
-  }
-  // Build-once held even though only one entry may stay resident.
-  EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(cache.stats().hits, 15u);
-  // A second key forces the eviction of the only resident entry.
-  (void)cache.realize(seeded_scenario(21));
-  EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_LE(cache.stats().entries, 1u);
-}
-
 // ------------------------------------------- cache failure & clear races --
 
 // A builder seam that runs a fixed script: each realize() call takes the
@@ -393,10 +325,8 @@ TEST(WorkloadCacheTest, FailedBuildAfterClearDoesNotEraseTheRetrysSlot) {
 }
 
 // Regression: a build completing after clear() had re-installed its key
-// used to mark the new slot ready and charge its own bytes against it;
-// when the new build then completed too, the entry was double-charged and
-// the resident-byte budget drifted upward forever. The stale completion
-// must be a no-op.
+// used to mark the new slot ready; when the new build then completed too,
+// the entry was counted twice. The stale completion must be a no-op.
 TEST(WorkloadCacheTest, StaleCompletionAfterClearDoesNotDoubleCharge) {
   std::promise<void> release_stale;
   std::promise<void> release_retry;
@@ -421,9 +351,7 @@ TEST(WorkloadCacheTest, StaleCompletionAfterClearDoesNotDoubleCharge) {
   release_retry.set_value();
   retry.join();
 
-  const std::uint64_t one = WorkloadCache::approx_bytes(*script.product);
   EXPECT_EQ(cache.stats().entries, 1u);
-  EXPECT_EQ(cache.stats().resident_bytes, one);  // charged exactly once
   EXPECT_EQ(cache.realize(s).get(), script.product.get());
 }
 
