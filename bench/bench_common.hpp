@@ -3,9 +3,10 @@
 // can be regenerated from a single run.
 //
 // Sweep-heavy binaries accept:
-//   --threads N   worker threads for the K sweeps (default: VR_THREADS env
-//                 var, else the hardware concurrency; output is
-//                 bit-identical for every thread count)
+//   --threads N   worker threads for the K sweeps, an integer in
+//                 [1, 4096] (default: VR_THREADS env var, else the
+//                 hardware concurrency; output is bit-identical for every
+//                 thread count; any other value exits with status 2)
 //   --serial      shorthand for --threads 1 --no-cache (the seed behaviour)
 //   --no-cache    rebuild every workload instead of using WorkloadCache
 //
@@ -23,6 +24,7 @@
 
 #include "common/table.hpp"
 #include "core/figures.hpp"
+#include "core/sweep.hpp"
 #include "obs/registry.hpp"
 #include "obs/sink.hpp"
 
@@ -74,6 +76,16 @@ inline void handle_metrics_flag(int argc, char** argv) {
   }
 }
 
+/// The value of a `--threads` flag, checked by core::parse_thread_count.
+/// Any other value ends the process with status 2 and a message naming the
+/// accepted range.
+inline std::size_t threads_flag(const char* value) {
+  if (const auto threads = core::parse_thread_count(value)) return *threads;
+  std::cerr << "error: --threads expects an integer in [1, "
+            << core::kMaxProbeThreads << "], got \"" << value << "\"\n";
+  std::exit(2);
+}
+
 /// Paper-sized sweep options (3 725-prefix tables, K = 1..15, N = 28).
 inline core::FigureOptions paper_options() { return core::FigureOptions{}; }
 
@@ -84,8 +96,7 @@ inline core::FigureOptions paper_options(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--threads" && i + 1 < argc) {
-      opt.threads = static_cast<std::size_t>(
-          std::max(1L, std::strtol(argv[++i], nullptr, 10)));
+      opt.threads = threads_flag(argv[++i]);
     } else if (arg == "--serial") {
       opt.threads = 1;
       opt.use_cache = false;

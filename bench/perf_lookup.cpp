@@ -12,7 +12,7 @@
 // Emits a table on stdout and machine-readable JSON (default
 // BENCH_lookup.json; the checked-in report is bench/BENCH_lookup.json).
 //
-// Flags: --threads N (reader pool; default: probed concurrency),
+// Flags: --threads N (reader pool, 1-4096; default: probed concurrency),
 // --output FILE, --quick (smaller table and fewer keys for CI smoke use),
 // --metrics[=path].
 #include <atomic>
@@ -85,8 +85,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--threads" && i + 1 < argc) {
-      threads = static_cast<std::size_t>(
-          std::max(1L, std::strtol(argv[++i], nullptr, 10)));
+      threads = bench::threads_flag(argv[++i]);
     } else if (arg == "--output" && i + 1 < argc) {
       output = argv[++i];
     } else if (arg == "--quick") {

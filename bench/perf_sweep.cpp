@@ -115,8 +115,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--threads" && i + 1 < argc) {
-      threads = static_cast<std::size_t>(
-          std::max(1L, std::strtol(argv[++i], nullptr, 10)));
+      threads = bench::threads_flag(argv[++i]);
     } else if (arg == "--output" && i + 1 < argc) {
       output = argv[++i];
     } else if (arg == "--quick") {

@@ -12,22 +12,25 @@
 
 namespace vr::core {
 
+std::optional<std::size_t> parse_thread_count(std::string_view text) {
+  unsigned long long parsed = 0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), parsed);
+  if (ec != std::errc() || end != text.data() + text.size() || parsed < 1 ||
+      parsed > kMaxProbeThreads) {
+    return std::nullopt;
+  }
+  return static_cast<std::size_t>(parsed);
+}
+
 ConcurrencyProbe probe_concurrency() {
   if (const char* env = std::getenv("VR_THREADS")) {
-    const std::string_view text(env);
-    long parsed = 0;
-    const auto [end, ec] =
-        std::from_chars(text.data(), text.data() + text.size(), parsed);
-    // The whole value must parse ("8x" is not 8) and describe a usable
-    // pool ("0" and "-3" are not, nor is anything past kMaxProbeThreads —
-    // a 2^40-thread "pool" is a typo, not a request). Anything else falls
-    // through to the hardware probe — loudly, once, because a silently
-    // ignored VR_THREADS turns every benchmark comparison into noise.
-    if (ec == std::errc() && end == text.data() + text.size() &&
-        parsed >= 1 &&
-        static_cast<unsigned long long>(parsed) <= kMaxProbeThreads) {
-      return {static_cast<std::size_t>(parsed), "env:VR_THREADS"};
+    if (const auto threads = parse_thread_count(env)) {
+      return {*threads, "env:VR_THREADS"};
     }
+    // Anything parse_thread_count refuses falls through to the hardware
+    // probe — loudly, once, because a silently ignored VR_THREADS turns
+    // every benchmark comparison into noise.
     static std::atomic<bool> warned{false};
     if (!warned.exchange(true)) {
       std::fprintf(stderr,

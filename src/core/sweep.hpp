@@ -14,6 +14,7 @@
 #include <exception>
 #include <mutex>
 #include <optional>
+#include <string_view>
 #include <thread>
 #include <type_traits>
 #include <utility>
@@ -34,14 +35,20 @@ struct ConcurrencyProbe {
   const char* source = "fallback";
 };
 
-/// Upper bound on a VR_THREADS override. A pool this size already
-/// oversubscribes any host the sweeps target by orders of magnitude;
-/// values above it are treated as typos (a stray digit, a pasted byte
-/// count) rather than intent, exactly like "0" or "8x".
+/// Upper bound on a requested thread count (VR_THREADS or a --threads
+/// flag). A pool this size already oversubscribes any host the sweeps
+/// target by orders of magnitude; values above it are treated as typos (a
+/// stray digit, a pasted byte count) rather than intent, exactly like "0"
+/// or "8x".
 inline constexpr std::size_t kMaxProbeThreads = 4096;
 
-/// Probes the usable concurrency: VR_THREADS when set to a positive
-/// integer, else std::thread::hardware_concurrency(), cross-checked
+/// Parses a requested thread count: the whole text must be a decimal
+/// integer in [1, kMaxProbeThreads]. "8x", "0", "-3", " 4" and "" are not.
+[[nodiscard]] std::optional<std::size_t> parse_thread_count(
+    std::string_view text);
+
+/// Probes the usable concurrency: VR_THREADS when parse_thread_count
+/// accepts it, else std::thread::hardware_concurrency(), cross-checked
 /// against the online-CPU count when it reports 0 or 1 (both values it
 /// can legally return even on multi-core hosts).
 [[nodiscard]] ConcurrencyProbe probe_concurrency();

@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <future>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -122,6 +123,32 @@ TEST(SweepRunnerTest, VrThreadsIsCappedAtKMaxProbeThreads) {
         << "VR_THREADS=" << c.value;
   }
   unsetenv("VR_THREADS");
+}
+
+// One rule for every requested thread count: VR_THREADS and the benches'
+// --threads flag. Parsing only; no pool is started.
+TEST(SweepRunnerTest, ParseThreadCountAcceptsOnlyAUsablePool) {
+  struct Case {
+    const char* text;
+    std::optional<std::size_t> expected;
+  };
+  const Case cases[] = {
+      {"8", 8},
+      {"1", 1},
+      {"4096", kMaxProbeThreads},  // the cap itself is usable
+      {"4097", std::nullopt},
+      {"0", std::nullopt},
+      {"-3", std::nullopt},
+      {"8x", std::nullopt},  // "8x" is not 8
+      {"abc", std::nullopt},
+      {"", std::nullopt},
+      {" 4", std::nullopt},
+      {"99999999999999999999", std::nullopt},  // overflows the parse
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(parse_thread_count(c.text), c.expected)
+        << "text \"" << c.text << '"';
+  }
 }
 
 TEST(SweepRunnerTest, ConcurrencyProbeRecordsItsSource) {
