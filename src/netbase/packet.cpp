@@ -48,7 +48,7 @@ std::array<std::uint8_t, Ipv4Header::kSize> Ipv4Header::serialize() const {
   out[1] = dscp;
   put_u16(&out[2], total_length);
   put_u16(&out[4], identification);
-  put_u16(&out[6], 0);  // flags/fragment offset: not modelled
+  put_u16(&out[6], flags_fragment);
   out[8] = ttl;
   out[9] = protocol;
   put_u16(&out[10], checksum);
@@ -79,6 +79,7 @@ std::optional<Ipv4Header> Ipv4Header::parse(
   header.dscp = bytes[1];
   header.total_length = get_u16(bytes.data() + 2);
   header.identification = get_u16(bytes.data() + 4);
+  header.flags_fragment = get_u16(bytes.data() + 6);
   header.ttl = bytes[8];
   header.protocol = bytes[9];
   header.checksum = get_u16(bytes.data() + 10);

@@ -21,6 +21,9 @@ struct Ipv4Header {
   std::uint8_t dscp = 0;          ///< DiffServ code point (QoS class)
   std::uint16_t total_length = kSize;
   std::uint16_t identification = 0;
+  /// Flags and fragment offset (wire bytes 6-7), kept as one word so the
+  /// checksum covers them; fragmentation itself is not modelled.
+  std::uint16_t flags_fragment = 0;
   std::uint8_t ttl = 64;
   std::uint8_t protocol = 17;     ///< UDP by default
   std::uint16_t checksum = 0;     ///< as stored on the wire

@@ -181,6 +181,101 @@ TEST(ParserTest, DropsVnidsOutsideTheRouter) {
   EXPECT_EQ(parser.stats().dropped(), 3u);
 }
 
+/// Writes an RFC 1071 checksum into wire bytes 10-11 of the 20-byte header
+/// that starts `bytes`. With `cover_flags` false it is computed as if bytes
+/// 6-7 (flags, fragment offset) were zero: the header of a sender that
+/// leaves them out, or one whose flags word changed in flight.
+void write_checksum(std::span<std::uint8_t> bytes, bool cover_flags) {
+  std::array<std::uint8_t, Ipv4Header::kSize> header{};
+  std::copy_n(bytes.begin(), header.size(), header.begin());
+  header[10] = 0;
+  header[11] = 0;
+  if (!cover_flags) {
+    header[6] = 0;
+    header[7] = 0;
+  }
+  const std::uint16_t sum = net::internet_checksum(header);
+  bytes[10] = static_cast<std::uint8_t>(sum >> 8);
+  bytes[11] = static_cast<std::uint8_t>(sum & 0xff);
+}
+
+/// Whether the parser must forward `bytes`: version 4 with IHL 5, a zero
+/// RFC 1071 sum over the 20 header bytes, a total length that covers the
+/// header, and TTL >= 2.
+bool forwardable(std::span<const std::uint8_t> bytes) {
+  if (bytes.size() < Ipv4Header::kSize || bytes[0] != 0x45) return false;
+  const unsigned total_length = (unsigned{bytes[2]} << 8) | bytes[3];
+  return net::internet_checksum(bytes.first(Ipv4Header::kSize)) == 0 &&
+         total_length >= Ipv4Header::kSize && bytes[8] >= 2;
+}
+
+// Regression: Ipv4Header::parse skipped wire bytes 6-7 (flags, fragment
+// offset) and serialize() wrote zeros there, so the checksum never covered
+// them: 16 of the 160 single-bit flips of a valid header were forwarded.
+TEST(ParserTest, DropsEverySingleBitFlip) {
+  static_assert(sizeof(Ipv4Header) == Ipv4Header::kSize);
+  Rng rng(20);
+  Parser parser(/*vn_count=*/1);
+  std::uint64_t flips = 0;
+  for (int h = 0; h < 300; ++h) {
+    std::array<std::uint8_t, Ipv4Header::kSize> valid{};
+    for (std::uint8_t& b : valid) {
+      b = static_cast<std::uint8_t>(rng.next_below(256));
+    }
+    const std::uint64_t total_length = rng.next_in(Ipv4Header::kSize, 1500);
+    valid[0] = 0x45;
+    valid[2] = static_cast<std::uint8_t>(total_length >> 8);
+    valid[3] = static_cast<std::uint8_t>(total_length & 0xff);
+    valid[8] = static_cast<std::uint8_t>(rng.next_in(2, 255));
+    if (h % 2 == 0) {
+      // Half carry a zero flags word, as generated frames do.
+      valid[6] = 0;
+      valid[7] = 0;
+    }
+    write_checksum(valid, /*cover_flags=*/true);
+    ASSERT_TRUE(forwardable(valid)) << "header " << h;
+    ASSERT_TRUE(parser.parse(0, valid).has_value()) << "header " << h;
+    for (std::size_t bit = 0; bit < 8 * valid.size(); ++bit) {
+      auto flipped = valid;
+      flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+      EXPECT_FALSE(parser.parse(0, flipped).has_value())
+          << "header " << h << " byte " << bit / 8 << " bit " << bit % 8;
+      ++flips;
+    }
+  }
+  EXPECT_EQ(parser.stats().accepted, 300u);
+  EXPECT_EQ(parser.stats().dropped(), flips);
+}
+
+// Arbitrary bytes: 100,000 seeded strings of 0-40 bytes, half of them
+// starting 0x45. A quarter of those of 20+ bytes carry a valid checksum
+// and another quarter one that leaves out bytes 6-7. Parsing never
+// crashes, and a string is forwarded exactly when it is a well-formed
+// header whose 20 wire bytes sum to zero.
+TEST(ParserTest, ArbitraryBytesNeverPassABadChecksum) {
+  Rng rng(21);
+  Parser parser(/*vn_count=*/1);
+  std::vector<std::uint8_t> bytes;
+  std::uint64_t expected_accepted = 0;
+  for (int i = 0; i < 100000; ++i) {
+    bytes.resize(rng.next_below(41));
+    for (std::uint8_t& b : bytes) {
+      b = static_cast<std::uint8_t>(rng.next_below(256));
+    }
+    if (!bytes.empty() && i % 2 == 0) bytes[0] = 0x45;
+    if (bytes.size() >= Ipv4Header::kSize && i % 4 == 0) {
+      write_checksum(bytes, /*cover_flags=*/i % 8 == 0);
+    }
+    const bool expected = forwardable(bytes);
+    expected_accepted += expected ? 1 : 0;
+    EXPECT_EQ(parser.parse(0, bytes).has_value(), expected)
+        << "string " << i << " of " << bytes.size() << " bytes";
+  }
+  EXPECT_EQ(parser.stats().accepted, expected_accepted);
+  EXPECT_GT(expected_accepted, 1000u);
+  EXPECT_EQ(parser.stats().accepted + parser.stats().dropped(), 100000u);
+}
+
 // ----------------------------------------------------------------- editor --
 
 TEST(EditorTest, ForwardsAndRewrites) {
