@@ -318,11 +318,6 @@ std::uint64_t CycleRouter::in_flight_flits() const {
   return total;
 }
 
-std::size_t CycleRouter::source_depth(net::VnId vn) const {
-  VR_REQUIRE(vn < source_.size(), "VN out of range");
-  return source_[vn].size();
-}
-
 CycleResult CycleRouter::finish() {
   VR_REQUIRE(!finished_, "finish() may only be called once");
   VR_REQUIRE(drained(), "finish() requires a drained data plane");

@@ -118,17 +118,7 @@ class CycleRouter {
   }
   /// Flits currently buffered across all VCs.
   [[nodiscard]] std::uint64_t in_flight_flits() const;
-  [[nodiscard]] std::size_t source_depth(net::VnId vn) const;
   [[nodiscard]] const CycleStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] const ParserStats& parser_stats() const noexcept {
-    return parser_.stats();
-  }
-  [[nodiscard]] const EditorStats& editor_stats() const noexcept {
-    return editor_.stats();
-  }
-  [[nodiscard]] const SchedulerStats& scheduler_stats() const noexcept {
-    return scheduler_.stats();
-  }
   [[nodiscard]] const CycleConfig& config() const noexcept { return config_; }
 
   /// Copies the lookup router's stage activity and adds the scheduler's
