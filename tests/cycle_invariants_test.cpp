@@ -209,6 +209,12 @@ TEST(CycleInvariants, ConservationHoldsEveryCycleForAllPoliciesAndK) {
       EXPECT_EQ(result.scheduler.enqueued,
                 result.scheduler.transmitted + result.scheduler.tail_drops);
       EXPECT_GT(result.cycle.flits_out, 0u);
+      // One occupancy sample per cycle and one depth sample per VN per
+      // cycle; occupancy never exceeds the pool's flit storage.
+      EXPECT_EQ(result.vc_occupancy.count(), result.cycles);
+      EXPECT_EQ(result.source_queue_depth.count(), k * result.cycles);
+      EXPECT_LE(result.vc_occupancy.stats.max(),
+                static_cast<double>(d.vc_count * d.vc_capacity));
     }
   }
 }

@@ -15,6 +15,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <ostream>
 #include <set>
 #include <string>
 #include <tuple>
@@ -31,6 +32,12 @@ struct Case {
   PolicyKind policy;
   std::size_t fleet_size;
 };
+
+// Without a printer gtest names each case by its raw bytes, padding
+// included, so the listed test names would change from run to run.
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << to_string(c.policy) << " fleet " << c.fleet_size;
+}
 
 class PlacementInvariantsTest : public ::testing::TestWithParam<Case> {
  protected:
