@@ -33,6 +33,23 @@ void publish_run_metrics(const CycleResult& result) {
       .merge(result.source_queue_depth);
 }
 
+/// Counts one sample of `value` in a by-value tally.
+void count_sample(std::vector<std::uint64_t>* counts, std::size_t value) {
+  if (value >= counts->size()) counts->resize(value + 1, 0);
+  ++(*counts)[value];
+}
+
+/// The histogram of a by-value tally: one weighted observe per value seen.
+obs::HistogramSnapshot fold_counts(const std::vector<std::uint64_t>& counts) {
+  obs::Histogram histogram;
+  for (std::size_t value = 0; value < counts.size(); ++value) {
+    if (counts[value] != 0) {
+      histogram.observe(static_cast<double>(value), counts[value]);
+    }
+  }
+  return histogram.snapshot();
+}
+
 }  // namespace
 
 CycleRouter::CycleRouter(pipeline::VirtualRouter& lookup, CycleConfig config)
@@ -151,8 +168,8 @@ bool CycleRouter::issue_one(std::optional<net::VnId> vn_filter,
   // work, charged per comparison by the activity layer) and grants the
   // first one at or after the round-robin cursor.
   std::optional<std::size_t> grant;
-  for (std::size_t i = 0; i < vcs_.size(); ++i) {
-    const std::size_t vc = (*cursor + i) % vcs_.size();
+  std::size_t vc = *cursor;
+  for (std::size_t i = 0; i < vcs_.size(); ++i, vc = next_vc(vc)) {
     const VcState& state = vcs_[vc];
     const bool requesting = state.busy && !state.issued && !state.decided &&
                             state.flits_received >= 1 &&
@@ -173,7 +190,7 @@ bool CycleRouter::issue_one(std::optional<net::VnId> vn_filter,
   ++activity_.arbiter_decisions[state.vn];
   // The issue reads the head flit's header out of the VC buffer.
   ++activity_.buffer_reads[state.vn];
-  *cursor = (*grant + 1) % vcs_.size();
+  *cursor = next_vc(*grant);
   return true;
 }
 
@@ -186,7 +203,7 @@ void CycleRouter::issue_lookups() {
       // narrow-ok: vn < vn_count fits VnId by construction
       (void)issue_one(static_cast<net::VnId>(vn), &cursor);
     }
-    arb_cursor_ = (arb_cursor_ + 1) % vcs_.size();
+    arb_cursor_ = next_vc(arb_cursor_);
   } else {
     // One merged engine: a single issue slot all VNs contend for.
     (void)issue_one(std::nullopt, &arb_cursor_);
@@ -227,8 +244,9 @@ void CycleRouter::apply_decision(const pipeline::LookupResult& done) {
 
 void CycleRouter::drain_switch() {
   std::size_t budget = config_.switch_flits_per_cycle;
-  for (std::size_t i = 0; i < vcs_.size() && budget > 0; ++i) {
-    const std::size_t vc = (drain_cursor_ + i) % vcs_.size();
+  std::size_t vc = drain_cursor_;
+  for (std::size_t i = 0; i < vcs_.size() && budget > 0;
+       ++i, vc = next_vc(vc)) {
     VcState& state = vcs_[vc];
     if (!state.busy || !state.decided || !state.forward.has_value() ||
         state.buffered == 0) {
@@ -250,7 +268,7 @@ void CycleRouter::drain_switch() {
       free_vc(vc);
     }
   }
-  drain_cursor_ = (drain_cursor_ + 1) % vcs_.size();
+  drain_cursor_ = next_vc(drain_cursor_);
 }
 
 void CycleRouter::free_vc(std::size_t vc) {
@@ -279,9 +297,9 @@ void CycleRouter::step() {
   for (std::size_t i = egress_before; i < egress_.size(); ++i) {
     ++activity_.buffer_reads[egress_[i].vnid];
   }
-  vc_occupancy_hist_.observe(static_cast<double>(in_flight_flits()));
+  count_sample(&vc_occupancy_counts_, in_flight_flits());
   for (const auto& queue : source_) {
-    source_depth_hist_.observe(static_cast<double>(queue.size()));
+    count_sample(&source_depth_counts_, queue.size());
   }
   ++cycle_;
 }
@@ -342,8 +360,8 @@ CycleResult CycleRouter::finish() {
   activity_.stage_busy = std::move(lookup_activity.stage_busy);
   activity_.stage_reads = std::move(lookup_activity.stage_reads);
   result.activity = std::move(activity_);
-  result.vc_occupancy = vc_occupancy_hist_.snapshot();
-  result.source_queue_depth = source_depth_hist_.snapshot();
+  result.vc_occupancy = fold_counts(vc_occupancy_counts_);
+  result.source_queue_depth = fold_counts(source_depth_counts_);
   publish_run_metrics(result);
   return result;
 }

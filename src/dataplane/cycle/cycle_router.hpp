@@ -159,6 +159,10 @@ class CycleRouter {
   void apply_decision(const pipeline::LookupResult& done);
   void drain_switch();
   void free_vc(std::size_t vc);
+  /// The VC after `vc` in round-robin order.
+  [[nodiscard]] std::size_t next_vc(std::size_t vc) const noexcept {
+    return vc + 1 == vcs_.size() ? 0 : vc + 1;
+  }
 
   CycleConfig config_;
   pipeline::VirtualRouter* lookup_;
@@ -175,8 +179,11 @@ class CycleRouter {
   std::vector<pipeline::LookupResult> lookup_done_;
   power::ActivityCounters activity_;
   CycleStats stats_;
-  obs::Histogram vc_occupancy_hist_;
-  obs::Histogram source_depth_hist_;
+  /// Per-cycle samples counted by value (index = flits or packets); finish()
+  /// folds each count into CycleResult's histogram with one weighted
+  /// observe.
+  std::vector<std::uint64_t> vc_occupancy_counts_;
+  std::vector<std::uint64_t> source_depth_counts_;
   std::uint64_t cycle_ = 0;
   std::size_t arb_cursor_ = 0;    ///< merged-engine issue round-robin
   std::size_t drain_cursor_ = 0;  ///< switch drain round-robin

@@ -109,12 +109,21 @@ class DrrScheduler {
     /// slower than a packet).
     bool quantum_added = false;
     double byte_credit = 0.0;
+    /// Packets across this port's VN queues. At zero every deficit is
+    /// zero and no round is open, so tick() need not walk the queues.
+    std::size_t queued = 0;
   };
 
   [[nodiscard]] double quantum_for(net::VnId vn) const;
+  /// Runs one cycle of DRR service on a port with packets queued.
+  void serve(PortState& port, std::size_t port_index, std::uint64_t cycle,
+             std::vector<EgressRecord>* out);
 
   SchedulerConfig config_;
   std::vector<PortState> ports_;
+  /// The ports tick() visits: packets queued, or link credit below the
+  /// cap. Ascending, so egress records keep their port order.
+  std::vector<std::size_t> active_ports_;
   SchedulerStats stats_;
   obs::Histogram queue_depth_hist_;
   obs::Histogram egress_wait_hist_;

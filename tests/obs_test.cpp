@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/sweep.hpp"
@@ -136,6 +137,57 @@ TEST(HistogramTest, RejectsNanAndNegative) {
   Histogram hist;
   EXPECT_DEATH(hist.observe(std::nan("")), "histogram sample is NaN");
   EXPECT_DEATH(hist.observe(-1.0), "histogram sample is negative");
+  EXPECT_DEATH(hist.observe(std::nan(""), 3), "histogram sample is NaN");
+  EXPECT_DEATH(hist.observe(-1.0, 3), "histogram sample is negative");
+}
+
+/// Weighted samples (value, count) spanning several buckets, with a
+/// zero count and the value 0, in no particular order.
+const std::vector<std::pair<double, std::uint64_t>> kWeightedSamples = {
+    {3.0, 7}, {0.0, 2}, {17.0, 1}, {5.0, 0}, {1.0, 40},
+    {2.5, 9}, {900.0, 3}, {6.0, 25}, {0.25, 4}};
+
+/// Folding each (value, n) with one weighted observe equals n single
+/// observes: exact counts, sum, extremes, buckets and quantiles; mean and
+/// spread to the last bits.
+void expect_weighted_fold_matches(const std::vector<double>& bounds) {
+  Histogram folded(bounds);
+  Histogram single(bounds);
+  for (const auto& [value, n] : kWeightedSamples) {
+    folded.observe(value, n);
+    for (std::uint64_t i = 0; i < n; ++i) single.observe(value);
+  }
+  const HistogramSnapshot a = folded.snapshot();
+  const HistogramSnapshot b = single.snapshot();
+  EXPECT_EQ(a.count(), b.count());
+  EXPECT_EQ(a.stats.sum(), b.stats.sum());
+  EXPECT_EQ(a.stats.min(), b.stats.min());
+  EXPECT_EQ(a.stats.max(), b.stats.max());
+  EXPECT_EQ(a.buckets, b.buckets);
+  for (const double q : {0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0}) {
+    EXPECT_EQ(a.quantile(q), b.quantile(q)) << "q " << q;
+  }
+  EXPECT_NEAR(a.stats.mean(), b.stats.mean(), 1e-12 * b.stats.mean());
+  EXPECT_NEAR(a.stats.stddev(), b.stats.stddev(), 1e-12 * b.stats.stddev());
+}
+
+TEST(HistogramTest, WeightedObserveEqualsRepeatedObserves) {
+  expect_weighted_fold_matches({});
+}
+
+TEST(HistogramBoundsTest, WeightedObserveEqualsRepeatedObserves) {
+  expect_weighted_fold_matches({1.0, 2.0, 4.5, 10.0, 100.0});
+}
+
+TEST(HistogramTest, WeightedObserveOfZeroSamplesChangesNothing) {
+  Histogram hist;
+  hist.observe(4.0, 0);
+  EXPECT_EQ(hist.snapshot().count(), 0u);
+  hist.observe(2.0);
+  hist.observe(8.0, 0);
+  const HistogramSnapshot snap = hist.snapshot();
+  EXPECT_EQ(snap.count(), 1u);
+  EXPECT_EQ(snap.stats.max(), 2.0);
 }
 
 // -------------------------------------------------- custom bucket bounds --
