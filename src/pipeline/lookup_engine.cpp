@@ -6,7 +6,7 @@
 namespace vr::pipeline {
 
 LookupEngine::LookupEngine(TrieView trie, std::size_t stage_count)
-    : trie_(trie), slots_(stage_count) {
+    : trie_(trie), ring_(stage_count) {
   VR_REQUIRE(stage_count >= 1, "engine needs at least one stage");
   activity_ = power::ActivityCounters(trie_.vn_count(), stage_count);
   if (trie_.level_count() > stage_count) {
@@ -43,69 +43,48 @@ bool LookupEngine::offer(const net::Packet& packet) {
 
 void LookupEngine::tick(std::vector<LookupResult>* out) {
   VR_REQUIRE(out != nullptr, "tick needs an output sink");
-  // Process stages back-to-front so each packet advances exactly one stage
-  // per cycle. Activity lands in the ledger's VN-major matrices at
-  // [vnid * stages + s].
-  const std::size_t stages = slots_.size();
-  // Stage `stages-1` completes this cycle.
-  {
-    Slot& last = slots_[stages - 1];
-    if (last.valid) {
-      const std::size_t cell = last.packet.vnid * stages + stages - 1;
-      // Perform the final stage's work first (it may still need its read).
-      if (last.node != trie::kNullNode) {
-        ++activity_.stage_reads[cell];
-        const TrieView::Step step =
-            trie_.step(last.node, last.packet.addr.value(), stages - 1,
-                       last.packet.vnid);
-        if (step.hop != net::kNoRoute) last.best = step.hop;
-      }
-      ++activity_.stage_busy[cell];
-      LookupResult result;
-      result.exit_cycle = activity_.cycles + 1;
-      result.packet = last.packet;
-      result.next_hop = last.best == net::kNoRoute
-                            ? std::nullopt
-                            : std::optional<net::NextHop>(last.best);
-      out->push_back(result);
-      ++packets_out_;
-      last.valid = false;
-    }
-  }
-  for (std::size_t s = stages - 1; s-- > 0;) {
-    Slot& slot = slots_[s];
-    if (!slot.valid) continue;
-    const std::size_t cell = slot.packet.vnid * stages + s;
+  // Each lookup in flight does its stage's work: activity lands in the
+  // ledger's VN-major matrices at [vnid * stages + stage].
+  const std::size_t stages = ring_.size();
+  const std::uint64_t now = activity_.cycles;
+  std::size_t at = head_;
+  for (std::size_t n = 0; n < in_flight_; ++n) {
+    InFlight& lookup = ring_[at];
+    const std::size_t stage = now - lookup.first_tick;
+    const std::size_t cell = lookup.packet.vnid * stages + stage;
     ++activity_.stage_busy[cell];
-    // Advance in place: do this stage's read/branch directly on the slot,
-    // then move it forward (no full copy-then-overwrite per stage).
-    if (slot.node != trie::kNullNode) {
+    if (lookup.node != trie::kNullNode) {
       ++activity_.stage_reads[cell];
       const TrieView::Step step = trie_.step(
-          slot.node, slot.packet.addr.value(), s, slot.packet.vnid);
-      if (step.hop != net::kNoRoute) slot.best = step.hop;
-      slot.node = step.next;
+          lookup.node, lookup.packet.addr.value(), stage, lookup.packet.vnid);
+      if (step.hop != net::kNoRoute) lookup.best = step.hop;
+      lookup.node = step.next;
     }
-    slots_[s + 1] = std::move(slot);
-    slot.valid = false;
+    if (++at == stages) at = 0;
+  }
+  // The oldest lookup leaves once its last stage is done.
+  if (in_flight_ != 0 && now - ring_[head_].first_tick == stages - 1) {
+    const InFlight& done = ring_[head_];
+    out->push_back(LookupResult{
+        now + 1, done.packet,
+        done.best == net::kNoRoute ? std::nullopt
+                                   : std::optional<net::NextHop>(done.best)});
+    ++packets_out_;
+    if (++head_ == stages) head_ = 0;
+    --in_flight_;
   }
   if (input_.has_value()) {
-    Slot& first = slots_[0];
-    first.valid = true;
-    first.packet = *input_;
-    first.node = 0;  // root
-    first.best = net::kNoRoute;
+    std::size_t tail = head_ + in_flight_;
+    if (tail >= stages) tail -= stages;
+    ring_[tail] = InFlight{now + 1, *input_, /*root*/ 0, net::kNoRoute};
+    ++in_flight_;
     input_.reset();
   }
   ++activity_.cycles;
 }
 
 bool LookupEngine::drained() const noexcept {
-  if (input_.has_value()) return false;
-  for (const Slot& slot : slots_) {
-    if (slot.valid) return false;
-  }
-  return true;
+  return !input_.has_value() && in_flight_ == 0;
 }
 
 }  // namespace vr::pipeline
