@@ -102,17 +102,12 @@ Row price_run(net::TraceShape shape, power::Scheme scheme,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::handle_metrics_flag(argc, argv);
   std::string output = "BENCH_activity.json";
   bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--output" && i + 1 < argc) {
-      output = argv[++i];
-    } else if (arg == "--quick") {
-      quick = true;
-    }
-  }
+  bench::parse_flags(
+      argc, argv,
+      {{"--output", true, [&](const char* value) { output = value; }},
+       {"--quick", false, [&](const char*) { quick = true; }}});
   const std::uint64_t cycles = quick ? 4000 : 20000;
   const double load = 0.6;
   const std::vector<std::size_t> vn_counts =

@@ -94,17 +94,12 @@ struct Row {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::handle_metrics_flag(argc, argv);
   std::string output = "BENCH_cycle.json";
   bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--output" && i + 1 < argc) {
-      output = argv[++i];
-    } else if (arg == "--quick") {
-      quick = true;
-    }
-  }
+  bench::parse_flags(
+      argc, argv,
+      {{"--output", true, [&](const char* value) { output = value; }},
+       {"--quick", false, [&](const char*) { quick = true; }}});
   const std::uint64_t cycles = quick ? 2500 : 10000;
   const double load = 0.45;
   const std::vector<std::size_t> vn_counts =

@@ -78,20 +78,15 @@ StalenessResult concurrent_staleness(vr::trie::SnapshotPublisher& publisher,
 
 int main(int argc, char** argv) {
   using namespace vr;
-  bench::handle_metrics_flag(argc, argv);
   std::string output = "BENCH_lookup.json";
   bool quick = false;
   std::size_t threads = 0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--threads" && i + 1 < argc) {
-      threads = bench::threads_flag(argv[++i]);
-    } else if (arg == "--output" && i + 1 < argc) {
-      output = argv[++i];
-    } else if (arg == "--quick") {
-      quick = true;
-    }
-  }
+  bench::parse_flags(
+      argc, argv,
+      {{"--threads", true,
+        [&](const char* value) { threads = bench::threads_flag(value); }},
+       {"--output", true, [&](const char* value) { output = value; }},
+       {"--quick", false, [&](const char*) { quick = true; }}});
   const core::ConcurrencyProbe probe = core::probe_concurrency();
   const std::size_t pool = threads == 0 ? probe.threads : threads;
 

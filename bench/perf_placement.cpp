@@ -54,17 +54,12 @@ struct Run {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::handle_metrics_flag(argc, argv);
   std::string output = "BENCH_placement.json";
   bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--output" && i + 1 < argc) {
-      output = argv[++i];
-    } else if (arg == "--quick") {
-      quick = true;
-    }
-  }
+  bench::parse_flags(
+      argc, argv,
+      {{"--output", true, [&](const char* value) { output = value; }},
+       {"--quick", false, [&](const char*) { quick = true; }}});
 
   placement::RequestStreamConfig stream_config;
   stream_config.seed = 42;

@@ -107,21 +107,16 @@ vr::dataplane::FullRouterResult dataplane_phase(bool quick) {
 
 int main(int argc, char** argv) {
   using namespace vr;
-  bench::handle_metrics_flag(argc, argv);
   core::FigureOptions base;
   std::string output = "BENCH_sweep.json";
   bool quick = false;
   std::size_t threads = 0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--threads" && i + 1 < argc) {
-      threads = bench::threads_flag(argv[++i]);
-    } else if (arg == "--output" && i + 1 < argc) {
-      output = argv[++i];
-    } else if (arg == "--quick") {
-      quick = true;
-    }
-  }
+  bench::parse_flags(
+      argc, argv,
+      {{"--threads", true,
+        [&](const char* value) { threads = bench::threads_flag(value); }},
+       {"--output", true, [&](const char* value) { output = value; }},
+       {"--quick", false, [&](const char*) { quick = true; }}});
   if (quick) {
     base.table_profile.prefix_count = 600;
     base.max_vn = 6;

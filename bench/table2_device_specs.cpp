@@ -6,7 +6,7 @@
 
 int main(int argc, char** argv) {
   using namespace vr;
-  bench::handle_metrics_flag(argc, argv);
+  bench::parse_flags(argc, argv);
   const fpga::DeviceSpec spec = fpga::DeviceSpec::xc6vlx760();
 
   TextTable table("Table II - " + spec.name + " device specs");

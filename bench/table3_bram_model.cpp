@@ -12,7 +12,7 @@ int main(int argc, char** argv) {
   using namespace vr;
   using fpga::BramKind;
   using fpga::SpeedGrade;
-  bench::handle_metrics_flag(argc, argv);
+  bench::parse_flags(argc, argv);
 
   TextTable table("Table III - BRAM power model (uW at f MHz)");
   table.set_header({"setup", "model", "coefficient uW/MHz"});

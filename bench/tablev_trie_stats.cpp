@@ -10,7 +10,7 @@
 
 int main(int argc, char** argv) {
   using namespace vr;
-  bench::handle_metrics_flag(argc, argv);
+  bench::parse_flags(argc, argv);
   const core::FigureBuilder builder(fpga::DeviceSpec::xc6vlx760(),
                                     bench::paper_options());
   bench::emit(builder.table_trie_stats());
