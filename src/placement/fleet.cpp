@@ -1,7 +1,5 @@
 #include "placement/fleet.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 
 namespace vr::placement {
@@ -17,14 +15,8 @@ const DeviceState& Fleet::device(std::size_t index) const {
 }
 
 DeviceShape Fleet::compute_shape(const DeviceState& state) {
-  DeviceShape shape;
-  shape.mode = state.mode;
-  for (const auto& [id, vn] : state.vns) {
-    ++shape.vn_count;
-    shape.max_bucket = std::max(shape.max_bucket, vn.bucket);
-    shape.mu_total_q += vn.mu_q;
-    shape.sla_floor = std::max(shape.sla_floor, vn.sla);
-  }
+  DeviceShape shape{.mode = state.mode};
+  for (const auto& [id, vn] : state.vns) shape = add(shape, vn);
   return shape;
 }
 
@@ -35,13 +27,9 @@ DeviceShape Fleet::shape_of(std::size_t index) const {
 DeviceShape Fleet::shape_with(std::size_t index, const PlacedVn& vn,
                               DeviceMode mode_if_idle) const {
   const DeviceState& state = device(index);
-  DeviceShape shape = compute_shape(state);
-  if (!state.active()) shape.mode = mode_if_idle;
-  ++shape.vn_count;
-  shape.max_bucket = std::max(shape.max_bucket, vn.bucket);
-  shape.mu_total_q += vn.mu_q;
-  shape.sla_floor = std::max(shape.sla_floor, vn.sla);
-  return shape;
+  return add(state.active() ? compute_shape(state)
+                            : DeviceShape{.mode = mode_if_idle},
+             vn);
 }
 
 void Fleet::place(std::size_t index, const PlacedVn& vn,

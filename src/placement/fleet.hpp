@@ -4,16 +4,21 @@
 //
 //   * groups():  devices keyed by their DeviceShape. Policies scan shapes,
 //     not devices, so a decision over a 10k-device fleet costs O(#distinct
-//     shapes) — tens, not thousands — per request.
+//     shapes) — hundreds, not thousands — per request.
 //   * idle_devices():  devices hosting nothing, candidates for opening.
 //   * a request-id locator for O(log n) departures and migrations.
 //
 // All indices are std::map/std::set (deterministic iteration: the vrlint
-// determinism gate and the bit-identical-replay test both depend on it),
-// and every shape is recomputed from the member VNs on mutation — sums of
-// quantized integers, so shapes can never drift from the truth.
+// determinism gate and the bit-identical-replay test both depend on it).
+// Every shape is built by one rule, add(): a device's shape is add()
+// folded over its VNs from {mode}, recomputed on mutation — sums of
+// quantized integers, so shapes can never drift from the truth. A group's
+// key is therefore its members' shape, and add(key, vn) is the shape any
+// member takes with `vn` placed: candidate enumeration pays one add() and
+// one oracle probe per group and walks no device's VNs.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -32,6 +37,16 @@ struct PlacedVn {
   SlaClass sla = SlaClass::kBronze;
   std::uint64_t departure_tick = 0;
 };
+
+/// `shape` with `vn` added — the one rule every fleet shape is built by.
+[[nodiscard]] constexpr DeviceShape add(DeviceShape shape,
+                                       const PlacedVn& vn) noexcept {
+  ++shape.vn_count;
+  shape.max_bucket = std::max(shape.max_bucket, vn.bucket);
+  shape.mu_total_q += vn.mu_q;
+  shape.sla_floor = std::max(shape.sla_floor, vn.sla);
+  return shape;
+}
 
 struct DeviceState {
   DeviceMode mode = DeviceMode::kDedicated;
@@ -55,7 +70,8 @@ class Fleet {
   [[nodiscard]] DeviceShape shape_of(std::size_t index) const;
 
   /// The shape the device would take if `vn` were added. Idle devices
-  /// open in `mode_if_idle`; active devices keep their mode.
+  /// open in `mode_if_idle`; active devices keep their mode. Walks the
+  /// device's VNs; candidate enumeration adds to the group key instead.
   [[nodiscard]] DeviceShape shape_with(std::size_t index, const PlacedVn& vn,
                                        DeviceMode mode_if_idle) const;
 

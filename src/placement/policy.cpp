@@ -1,6 +1,7 @@
 #include "placement/policy.hpp"
 
 #include <cmath>
+#include <iterator>
 #include <limits>
 
 #include "common/error.hpp"
@@ -30,6 +31,7 @@ std::vector<Candidate> feasible_candidates(
     const Fleet& fleet, CostOracle& oracle, const PlacedVn& vn,
     std::optional<std::size_t> exclude) {
   std::vector<Candidate> candidates;
+  candidates.reserve(fleet.groups().size() + std::size(kOpeningModes));
   for (const auto& [shape, devices] : fleet.groups()) {
     // Every device in a group shares one shape, so feasibility of the
     // group is feasibility of any member: one representative suffices.
@@ -40,7 +42,9 @@ std::vector<Candidate> feasible_candidates(
     candidate.device = *device;
     candidate.mode = shape.mode;
     candidate.before = shape;
-    candidate.after = fleet.shape_with(*device, vn, shape.mode);
+    // The fleet keys each group by add() folded over a member's VNs, so
+    // the key plus this VN is the member's shape after placing it.
+    candidate.after = add(shape, vn);
     if (!oracle.feasible(candidate.after)) continue;
     candidates.push_back(candidate);
   }
@@ -51,7 +55,7 @@ std::vector<Candidate> feasible_candidates(
       Candidate candidate;
       candidate.device = *idle;
       candidate.mode = mode;
-      candidate.after = fleet.shape_with(*idle, vn, mode);
+      candidate.after = add(DeviceShape{.mode = mode}, vn);
       if (!oracle.feasible(candidate.after)) continue;
       candidates.push_back(candidate);
     }
