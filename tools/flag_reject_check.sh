@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Checks that a bench binary refuses a bad command line: it must exit with
-# status 2, name the bad flag on stderr, and write no file.
+# Checks that a binary refuses a bad command line: it must exit with
+# status 2, name the bad flag or argument on stderr, and write no file.
 #
 #   tools/flag_reject_check.sh <flag> <binary> [args...]
 #
