@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <set>
 
@@ -541,23 +542,46 @@ TEST(SchedulerTest, IdlePortsExamineEveryQueueOncePerCycle) {
   EXPECT_TRUE(egress.empty());
 }
 
-/// FNV-1a over every field of every egress record, in order.
-std::uint64_t egress_digest(const std::vector<EgressRecord>& egress) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  const auto mix = [&hash](std::uint64_t value) {
+/// FNV-1a over the little-endian bytes of 64-bit words.
+class Fnv1a {
+ public:
+  void add(std::uint64_t word) {
     for (int byte = 0; byte < 8; ++byte) {
-      hash ^= (value >> (8 * byte)) & 0xffu;
-      hash *= 0x100000001b3ULL;
+      hash_ ^= (word >> (8 * byte)) & 0xffu;
+      hash_ *= 0x100000001b3ULL;
     }
-  };
-  for (const EgressRecord& record : egress) {
-    mix(record.cycle);
-    mix(record.vnid);
-    mix(record.port);
-    mix(record.bytes);
-    mix(record.queueing_cycles);
   }
-  return hash;
+  void add(const std::vector<std::uint64_t>& words) {
+    for (const std::uint64_t word : words) add(word);
+  }
+  /// Every field of every egress record, in order.
+  void add(const std::vector<EgressRecord>& egress) {
+    for (const EgressRecord& record : egress) {
+      add(record.cycle);
+      add(record.vnid);
+      add(record.port);
+      add(record.bytes);
+      add(record.queueing_cycles);
+    }
+  }
+  /// Count, sum, min, max and buckets, the doubles by their bits.
+  void add(const obs::HistogramSnapshot& histogram) {
+    add(histogram.count());
+    add(std::bit_cast<std::uint64_t>(histogram.stats.sum()));
+    add(std::bit_cast<std::uint64_t>(histogram.stats.min()));
+    add(std::bit_cast<std::uint64_t>(histogram.stats.max()));
+    for (const std::uint64_t bucket : histogram.buckets) add(bucket);
+  }
+  [[nodiscard]] std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+std::uint64_t egress_digest(const std::vector<EgressRecord>& egress) {
+  Fnv1a digest;
+  digest.add(egress);
+  return digest.value();
 }
 
 /// Drives a seeded sparse stream through a 16-port, K = 4 scheduler:
@@ -885,6 +909,146 @@ TEST_F(FullRouterFixture, QosSharesFollowTrafficShares) {
   const auto shares = result.goodput_shares();
   EXPECT_NEAR(shares[0], 0.5, 0.05);
   EXPECT_NEAR(shares[1], 0.25, 0.04);
+}
+
+// ------------------------------------------------ recorded full-router runs --
+
+/// FNV-1a over every field of a run's result but the egress arbiter's
+/// comparison counts.
+std::uint64_t result_digest(const FullRouterResult& result) {
+  Fnv1a digest;
+  digest.add(result.egress);
+  const ParserStats& parser = result.parser;
+  for (const std::uint64_t count :
+       {parser.accepted, parser.malformed, parser.bad_checksum,
+        parser.ttl_expired, parser.bad_vnid, result.editor.forwarded,
+        result.editor.no_route, result.editor.ttl_expired}) {
+    digest.add(count);
+  }
+  const SchedulerStats& scheduler = result.scheduler;
+  for (const std::uint64_t count :
+       {scheduler.enqueued, scheduler.transmitted, scheduler.tail_drops,
+        scheduler.rejected}) {
+    digest.add(count);
+  }
+  digest.add(scheduler.bytes_per_vn);
+  digest.add(scheduler.tail_drops_per_vn);
+  digest.add(scheduler.arbiter_grants_per_vn);
+  digest.add(result.cycles);
+  digest.add(result.max_lookup_queue);
+  digest.add(result.queue_depths);
+  digest.add(result.egress_wait);
+  const power::ActivityCounters& activity = result.activity;
+  digest.add(activity.cycles);
+  for (const std::vector<std::uint64_t>* column :
+       {&activity.parser_headers, &activity.buffer_writes,
+        &activity.buffer_reads, &activity.crossbar_traversals,
+        &activity.arbiter_decisions, &activity.editor_rewrites,
+        &activity.stage_busy, &activity.stage_reads}) {
+    digest.add(*column);
+  }
+  return digest.value();
+}
+
+/// One kind of seeded stream for the recorded runs.
+struct StreamKind {
+  double load = 0.0;
+  /// Arrival cycles are divided by this: 2-4 frames a cycle back up the
+  /// one-lookup-per-cycle pipe.
+  std::uint64_t squeeze = 1;
+  double corrupt = 0.0;       ///< parser drop: bad checksum
+  double expiring_ttl = 0.0;  ///< parser drop: TTL <= 1
+  double bad_vnid = 0.0;      ///< parser drop: VNID names no VN
+  double random_dst = 0.0;    ///< destinations drawn from no table
+  /// Dropped frames arriving long after everything else has drained.
+  std::size_t trailing_drops = 0;
+};
+
+// Every field of the per-packet router's result (egress timing, drops,
+// cycle count, histograms and the activity ledger), recorded for a
+// separate and a merged lookup over seven seeded stream kinds. A change
+// to when a packet is parsed, looked up, edited, queued or sent moves a
+// digest.
+TEST_F(FullRouterFixture, EveryResultFieldMatchesRecordedDigests) {
+  const StreamKind kinds[] = {
+      {.load = 0.5},
+      {.load = 1.0, .squeeze = 2, .corrupt = 0.03, .expiring_ttl = 0.03,
+       .bad_vnid = 0.03, .random_dst = 0.03},
+      {.load = 1.0, .squeeze = 4},
+      {.load = 0.8, .corrupt = 0.05, .expiring_ttl = 0.05, .bad_vnid = 0.05,
+       .random_dst = 0.05},
+      {.load = 1.0, .squeeze = 3, .corrupt = 0.05, .expiring_ttl = 0.05,
+       .bad_vnid = 0.05, .random_dst = 0.05, .trailing_drops = 40},
+      {.load = 0.4, .trailing_drops = 25},
+      {.load = 0.6, .squeeze = 2, .bad_vnid = 1.0, .trailing_drops = 10},
+  };
+  // {separate, merged} per kind.
+  const std::uint64_t recorded[][2] = {
+      {5456797297231146571u, 5456797297231146571u},
+      {1964472526070426354u, 17008536502211379663u},
+      {13928114366323779255u, 9553844112761226021u},
+      {12822505749648476406u, 13680507835291996994u},
+      {3109569271880831840u, 14983713126812499224u},
+      {1688027248899955098u, 1688027248899955098u},
+      {942502631049089409u, 942502631049089409u},
+  };
+  FullRouterConfig config = router_config();
+  config.scheduler.queue_capacity = 16;
+  config.scheduler.vn_weights = {1.0, 2.0, 1.5};
+  const virt::MergedTrie merged{
+      std::span<const trie::UnibitTrie* const>(trie_ptrs_)};
+
+  for (std::size_t k = 0; k < std::size(kinds); ++k) {
+    const StreamKind& kind = kinds[k];
+    FrameGenConfig gen_config;
+    gen_config.traffic.cycles = 3000;
+    gen_config.traffic.load = kind.load;
+    gen_config.traffic.vn_weights = {3.0, 1.0, 2.0};
+    gen_config.corrupt_fraction = kind.corrupt;
+    gen_config.expiring_ttl_fraction = kind.expiring_ttl;
+    std::vector<IngressFrame> frames =
+        FrameGenerator(gen_config, ptrs_).generate(100 + k);
+    ASSERT_FALSE(frames.empty());
+    Rng rng(200 + k);
+    for (IngressFrame& frame : frames) {
+      frame.cycle /= kind.squeeze;
+      if (rng.next_bool(kind.bad_vnid)) {
+        // narrow-ok in test: 3 + [0, 4] fits a VnId
+        frame.vnid = static_cast<net::VnId>(3 + rng.next_below(5));
+      } else if (rng.next_bool(kind.random_dst)) {
+        frame.header.destination =
+            Ipv4(static_cast<std::uint32_t>(rng.next_u64()));
+        frame.header.checksum = frame.header.compute_checksum();
+      }
+    }
+    const std::uint64_t late = frames.back().cycle + 9000;
+    for (std::size_t i = 0; i < kind.trailing_drops; ++i) {
+      IngressFrame frame = frames[i];
+      frame.cycle = late + 7 * i;
+      if (i % 2 == 0) {
+        frame.vnid = 3;
+      } else {
+        frame.header.checksum ^= 0x5a5a;
+      }
+      frames.push_back(frame);
+    }
+
+    pipeline::SeparateRouter separate(views_, 28);
+    const FullRouterResult separate_result =
+        run_full_router(separate, frames, config);
+    pipeline::MergedRouter merged_lookup(merged, 28);
+    const FullRouterResult merged_result =
+        run_full_router(merged_lookup, frames, config);
+    EXPECT_EQ(separate_result.parser.accepted +
+                  separate_result.parser.dropped(),
+              frames.size());
+    EXPECT_EQ(result_digest(separate_result), recorded[k][0])
+        << "kind " << k << " separate, " << separate_result.cycles
+        << " cycles, max lookup queue " << separate_result.max_lookup_queue;
+    EXPECT_EQ(result_digest(merged_result), recorded[k][1])
+        << "kind " << k << " merged, " << merged_result.cycles
+        << " cycles, max lookup queue " << merged_result.max_lookup_queue;
+  }
 }
 
 }  // namespace
