@@ -98,63 +98,48 @@ FullRouterResult run_full_router(pipeline::VirtualRouter& lookup,
   power::ActivityCounters activity(lookup.vn_count(),
                                    lookup.engine(0).stage_count());
 
-  // Per-VN FIFO of parsed packets awaiting their lookup result. Both the
-  // separate router (per-engine in-order pipelines) and the merged router
-  // (single in-order pipeline) preserve per-VN completion order, so a
-  // FIFO per VN reassociates results with full packets.
+  // 1. Every frame through the parser. An accepted packet is written into
+  //    the lookup backlog and read out when the pipe takes it, and waits in
+  //    its VN's FIFO for the lookup result. Both the separate router
+  //    (per-engine in-order pipelines) and the merged router (single
+  //    in-order pipeline) preserve per-VN completion order, so a FIFO per
+  //    VN reassociates results with full packets.
   std::vector<std::deque<ParsedPacket>> awaiting(lookup.vn_count());
-  std::deque<ParsedPacket> lookup_backlog;
-  std::vector<pipeline::LookupResult> lookup_done;
+  std::vector<net::TimedPacket> trace;
+  trace.reserve(frames.size());
+  for (const IngressFrame& frame : frames) {
+    // Every arriving frame pays the parse, accepted or dropped.
+    if (frame.vnid < activity.vn_count()) {
+      ++activity.parser_headers[frame.vnid];
+    }
+    if (const auto parsed = parser.accept(frame.vnid, frame.header,
+                                          frame.payload_bytes)) {
+      ++activity.buffer_writes[parsed->vnid];
+      ++activity.buffer_reads[parsed->vnid];
+      awaiting[parsed->vnid].push_back(*parsed);
+      trace.push_back(
+          {frame.cycle, net::Packet{parsed->header.destination, parsed->vnid}});
+    }
+  }
 
-  std::size_t next_frame = 0;
+  // 2. The accepted packets through the lookup pipe at their arrival
+  //    cycles (back-pressure respected).
+  const std::uint64_t start = lookup.engine(0).now();
+  const pipeline::SimulationResult lookups = pipeline::run_trace(lookup, trace);
+  result.max_lookup_queue = lookups.max_queue_depth;
+
+  // 3. Each completed lookup goes to the editor and the scheduler in the
+  //    cycle it leaves the pipe. The run lasts past the last arrival,
+  //    dropped or not, and until every egress queue has drained.
+  const std::uint64_t end =
+      frames.empty() ? 0 : std::max(lookups.cycles, frames.back().cycle + 1);
+  std::size_t next = 0;
   std::uint64_t cycle = 0;
-  const auto work_pending = [&] {
-    if (next_frame < frames.size() || !lookup_backlog.empty()) return true;
-    if (!lookup.drained() || !scheduler.empty()) return true;
-    for (const auto& fifo : awaiting) {
-      if (!fifo.empty()) return true;
-    }
-    return false;
-  };
-
-  while (work_pending()) {
-    // 1. Arrivals through the parser.
-    while (next_frame < frames.size() &&
-           frames[next_frame].cycle <= cycle) {
-      const IngressFrame& frame = frames[next_frame];
-      // Every arriving frame pays the parse, accepted or dropped.
-      if (frame.vnid < activity.vn_count()) {
-        ++activity.parser_headers[frame.vnid];
-      }
-      if (const auto parsed = parser.accept(frame.vnid, frame.header,
-                                            frame.payload_bytes)) {
-        ++activity.buffer_writes[parsed->vnid];
-        lookup_backlog.push_back(*parsed);
-      }
-      ++next_frame;
-    }
-    result.max_lookup_queue =
-        std::max(result.max_lookup_queue, lookup_backlog.size());
-
-    // 2. Inject into the lookup stage (back-pressure respected).
-    for (std::size_t burst = 0; burst < lookup_backlog.size();) {
-      const ParsedPacket& head = lookup_backlog[burst];
-      const net::Packet request{head.header.destination, head.vnid};
-      if (lookup.offer(request)) {
-        ++activity.buffer_reads[head.vnid];
-        awaiting[head.vnid].push_back(head);
-        lookup_backlog.erase(lookup_backlog.begin() +
-                             static_cast<std::ptrdiff_t>(burst));
-      } else {
-        ++burst;
-      }
-    }
-
-    // 3. Lookup pipeline advances; completed lookups go to the editor and
-    //    then the scheduler.
-    lookup_done.clear();
-    lookup.tick(&lookup_done);
-    for (const pipeline::LookupResult& done : lookup_done) {
+  for (; cycle < end || !scheduler.empty(); ++cycle) {
+    for (; next < lookups.results.size() &&
+           lookups.results[next].exit_cycle == start + cycle + 1;
+         ++next) {
+      const pipeline::LookupResult& done = lookups.results[next];
       auto& fifo = awaiting[done.packet.vnid];
       VR_REQUIRE(!fifo.empty(), "lookup completed with no awaiting packet");
       const ParsedPacket parsed = fifo.front();
@@ -170,13 +155,12 @@ FullRouterResult run_full_router(pipeline::VirtualRouter& lookup,
       }
     }
 
-    // 4. Egress transmission (each transmit reads its queue once).
+    // Egress transmission (each transmit reads its queue once).
     const std::size_t egress_before = result.egress.size();
     scheduler.tick(cycle, &result.egress);
     for (std::size_t i = egress_before; i < result.egress.size(); ++i) {
       ++activity.buffer_reads[result.egress[i].vnid];
     }
-    ++cycle;
   }
 
   result.parser = parser.stats();
