@@ -125,6 +125,7 @@ SimulationResult run_trace(VirtualRouter& router,
                            std::span<const net::TimedPacket> trace) {
   SimulationResult sim;
   std::deque<net::Packet> pending;
+  const std::size_t engines = router.engine_count();
   std::size_t next = 0;
   std::uint64_t cycle = 0;
   while (next < trace.size() || !pending.empty() || !router.drained()) {
@@ -133,14 +134,18 @@ SimulationResult run_trace(VirtualRouter& router,
       ++next;
     }
     sim.max_queue_depth = std::max(sim.max_queue_depth, pending.size());
-    // Try to inject as many queued packets as the engines accept. A
-    // separate router can accept up to one packet per engine per cycle;
-    // the merged router one in total. Head-of-line packets that are
-    // refused stay queued.
-    for (std::size_t burst = 0; burst < pending.size();) {
+    // Offer the queued packets oldest first until every engine has taken
+    // one: an engine accepts one packet per cycle, so any later offer
+    // would be refused. The merged router takes the oldest packet; a
+    // separate router takes each VN's oldest and refuses the packets
+    // queued behind a VN whose engine has already taken one. Refused
+    // packets stay queued.
+    std::size_t taken = 0;
+    for (std::size_t burst = 0; burst < pending.size() && taken < engines;) {
       if (router.offer(pending[burst])) {
         pending.erase(pending.begin() +
                       static_cast<std::ptrdiff_t>(burst));
+        ++taken;
       } else {
         ++burst;
       }

@@ -100,7 +100,11 @@ struct SimulationResult {
 
 /// Feeds `trace` (sorted by cycle) into the router, ticking until every
 /// packet has exited. Packets that cannot be injected at their arrival
-/// cycle wait in a FIFO (back-pressure), which the result records.
+/// cycle wait in a FIFO (back-pressure), which the result records. Each
+/// cycle offers the queued packets oldest first until every engine has
+/// taken one. Besides cycle::CycleRouter's issue arbiter, this is the only
+/// loop that offers queued packets to a VirtualRouter:
+/// dataplane::run_full_router drives its lookups through it.
 [[nodiscard]] SimulationResult run_trace(
     VirtualRouter& router, std::span<const net::TimedPacket> trace);
 
