@@ -165,8 +165,8 @@ void CycleRouter::ingress_flits() {
 bool CycleRouter::issue_one(std::optional<net::VnId> vn_filter,
                             std::size_t* cursor) {
   // The arbiter examines every requesting candidate (its comparator
-  // work, charged per comparison by the activity layer) and grants the
-  // first one at or after the round-robin cursor.
+  // work, counted in CycleStats) and grants the first one at or after the
+  // round-robin cursor.
   std::optional<std::size_t> grant;
   std::size_t vc = *cursor;
   for (std::size_t i = 0; i < vcs_.size(); ++i, vc = next_vc(vc)) {
@@ -176,7 +176,6 @@ bool CycleRouter::issue_one(std::optional<net::VnId> vn_filter,
                             (!vn_filter || state.vn == *vn_filter);
     if (!requesting) continue;
     ++stats_.arbiter_comparisons;
-    ++activity_.arbiter_comparisons[state.vn];
     if (!grant) grant = vc;
   }
   if (!grant) return false;
@@ -348,13 +347,11 @@ CycleResult CycleRouter::finish() {
   result.egress = std::move(egress_);
   result.cycles = cycle_;
   activity_.cycles = cycle_;
-  // The egress DRR arbiter's grants and comparator examinations join the
-  // issue arbiter's in the same per-VN activity columns.
+  // The egress DRR arbiter's grants join the issue arbiter's in the same
+  // per-VN activity column.
   for (std::size_t vn = 0; vn < activity_.vn_count(); ++vn) {
     activity_.arbiter_decisions[vn] +=
         result.scheduler.arbiter_grants_per_vn[vn];
-    activity_.arbiter_comparisons[vn] +=
-        result.scheduler.arbiter_comparisons_per_vn[vn];
   }
   power::ActivityCounters lookup_activity = lookup_->activity();
   activity_.stage_busy = std::move(lookup_activity.stage_busy);

@@ -45,8 +45,6 @@ void publish_run_metrics(const FullRouterResult& result) {
         .add(act.crossbar_traversals[vn]);
     registry.counter("dataplane.activity.arbiter_decisions", labels)
         .add(act.arbiter_decisions[vn]);
-    registry.counter("dataplane.activity.arbiter_comparisons", labels)
-        .add(act.arbiter_comparisons[vn]);
     registry.counter("dataplane.activity.editor_rewrites", labels)
         .add(act.editor_rewrites[vn]);
   }
@@ -169,7 +167,6 @@ FullRouterResult run_full_router(pipeline::VirtualRouter& lookup,
   result.cycles = cycle;
   activity.cycles = cycle;
   activity.arbiter_decisions = result.scheduler.arbiter_grants_per_vn;
-  activity.arbiter_comparisons = result.scheduler.arbiter_comparisons_per_vn;
   power::ActivityCounters lookup_activity = lookup.activity();
   activity.stage_busy = std::move(lookup_activity.stage_busy);
   activity.stage_reads = std::move(lookup_activity.stage_reads);

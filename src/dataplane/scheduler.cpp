@@ -35,7 +35,6 @@ DrrScheduler::DrrScheduler(SchedulerConfig config)
   stats_.bytes_per_vn.assign(config_.vn_count, 0);
   stats_.tail_drops_per_vn.assign(config_.vn_count, 0);
   stats_.arbiter_grants_per_vn.assign(config_.vn_count, 0);
-  stats_.arbiter_comparisons_per_vn.assign(config_.vn_count, 0);
 }
 
 double DrrScheduler::quantum_for(net::VnId vn) const {
@@ -82,32 +81,22 @@ void DrrScheduler::tick(std::uint64_t cycle, std::vector<EgressRecord>* out) {
   constexpr double kMtuBytes = 1600.0;
   const double credit_cap =
       std::max(kMtuBytes, 4.0 * config_.bytes_per_cycle);
-  // A port with nothing queued and enough credit sweeps its K empty queues
-  // once per cycle: one examination per VN, while the cursor, the (zero)
-  // deficits and the round state stay as they were. Only the sweeps are
-  // counted, after the loop. A port idle at the credit cap (at least one
-  // MTU, so it always sweeps) changes no state at all, so tick() visits
-  // only the active ports and counts one sweep for each of the others.
-  std::uint64_t idle_sweeps = ports_.size() - active_ports_.size();
+  // A port with nothing queued only gains credit: its cursor, (zero)
+  // deficits and round state stay as they were. Once idle at the credit
+  // cap it changes no state at all, so tick() visits only the active
+  // ports.
   std::size_t still_active = 0;
   for (std::size_t i = 0; i < active_ports_.size(); ++i) {
     const std::size_t port_index = active_ports_[i];
     PortState& port = ports_[port_index];
     port.byte_credit += config_.bytes_per_cycle;
-    if (port.queued != 0) {
-      serve(port, port_index, cycle, out);
-    } else if (port.byte_credit >= 1.0) {
-      ++idle_sweeps;
-    }
+    if (port.queued != 0) serve(port, port_index, cycle, out);
     port.byte_credit = std::min(port.byte_credit, credit_cap);
     if (port.queued != 0 || port.byte_credit < credit_cap) {
       active_ports_[still_active++] = port_index;
     }
   }
   active_ports_.resize(still_active);
-  for (std::uint64_t& comparisons : stats_.arbiter_comparisons_per_vn) {
-    comparisons += idle_sweeps;
-  }
 }
 
 void DrrScheduler::serve(PortState& port, std::size_t port_index,
@@ -125,10 +114,6 @@ void DrrScheduler::serve(PortState& port, std::size_t port_index,
   while (port.byte_credit >= 1.0 && visited < config_.vn_count) {
     const std::size_t vn = port.round_robin_cursor;
     auto& queue = port.queues[vn];
-    // Each cursor stop examines one queue — comparator work the grant
-    // count alone undercounts (empty skips and resumed rounds decide
-    // without granting).
-    ++stats_.arbiter_comparisons_per_vn[vn];
     if (queue.empty()) {
       port.deficit[vn] = 0.0;  // idle queues accumulate nothing
       advance_cursor();

@@ -55,10 +55,6 @@ struct SchedulerStats {
   /// DRR grant decisions (a quantum awarded to a VN's queue) by VN; the
   /// arbiter events the activity power model charges.
   std::vector<std::uint64_t> arbiter_grants_per_vn;
-  /// Queue examinations by the DRR cursor, by VN — the comparator work
-  /// behind the grants (every queue the arbiter looked at while deciding,
-  /// including empty skips and resumed rounds). >= arbiter_grants_per_vn.
-  std::vector<std::uint64_t> arbiter_comparisons_per_vn;
 };
 
 class DrrScheduler {

@@ -11,7 +11,6 @@ ActivityCounters::ActivityCounters(std::size_t vn_count,
       buffer_reads(vn_count, 0),
       crossbar_traversals(vn_count, 0),
       arbiter_decisions(vn_count, 0),
-      arbiter_comparisons(vn_count, 0),
       editor_rewrites(vn_count, 0),
       stage_busy(vn_count * stage_count, 0),
       stage_reads(vn_count * stage_count, 0) {

@@ -38,10 +38,6 @@ struct ActivityCounters {
   std::vector<std::uint64_t> crossbar_traversals;
   /// DRR grant decisions (the egress arbiter electing a VN's queue).
   std::vector<std::uint64_t> arbiter_decisions;
-  /// Candidate queues the arbiters *examined* while deciding — the
-  /// comparator work behind each grant. Always >= arbiter_decisions;
-  /// the gap is the contention the grant count alone cannot see.
-  std::vector<std::uint64_t> arbiter_comparisons;
   /// Header rewrites by the editor (TTL decrement + checksum update).
   std::vector<std::uint64_t> editor_rewrites;
 

@@ -230,49 +230,6 @@ TEST(EventEnergiesTest, DerivesFromXpeTables) {
   }
 }
 
-// ---------------------------------------------- arbiter comparison counts
-
-/// Hand-built DRR round: one port, two VNs, one packet for VN0, a link
-/// fast enough to transmit it in the first cycle. The arbiter examines
-/// VN0 (granting a quantum) and then VN1 (an empty skip) — two
-/// comparisons for one grant, the work the grant count alone misses.
-TEST(SchedulerArbiterTest, ComparisonsCountQueueExaminations) {
-  dataplane::SchedulerConfig config;
-  config.port_count = 1;
-  config.vn_count = 2;
-  config.bytes_per_cycle = 2000.0;
-  dataplane::DrrScheduler scheduler(config);
-  dataplane::ForwardedPacket packet;
-  packet.vnid = 0;
-  packet.port = 0;
-  packet.payload_bytes = 100;
-  ASSERT_TRUE(scheduler.enqueue(packet, 0));
-  std::vector<dataplane::EgressRecord> egress;
-  scheduler.tick(0, &egress);
-  ASSERT_EQ(egress.size(), 1u);
-  const dataplane::SchedulerStats& stats = scheduler.stats();
-  EXPECT_EQ(stats.arbiter_grants_per_vn[0], 1u);
-  EXPECT_EQ(stats.arbiter_grants_per_vn[1], 0u);
-  EXPECT_EQ(stats.arbiter_comparisons_per_vn[0], 1u);
-  EXPECT_EQ(stats.arbiter_comparisons_per_vn[1], 1u);
-}
-
-/// On real end-to-end runs the two counters cross-validate: every grant
-/// required at least one examination, so comparisons dominate grants per
-/// VN, and strictly in total (idle queues are examined without granting).
-TEST(SchedulerArbiterTest, ComparisonsDominateGrantsOnRealRuns) {
-  const UniformRun run = run_uniform(4);
-  for (const ActivityCounters* act :
-       {&run.separate_activity, &run.merged_activity}) {
-    for (std::size_t v = 0; v < act->vn_count(); ++v) {
-      EXPECT_GE(act->arbiter_comparisons[v], act->arbiter_decisions[v])
-          << "vn=" << v;
-    }
-    EXPECT_GT(ActivityCounters::total(act->arbiter_comparisons),
-              ActivityCounters::total(act->arbiter_decisions));
-  }
-}
-
 TEST(ActivityCountersTest, UtilizationIsBusyShareOfStageCycles) {
   ActivityCounters a(2, 4);
   EXPECT_EQ(a.utilization(0), 0.0);  // empty window
