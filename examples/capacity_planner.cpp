@@ -10,37 +10,15 @@
 // Each argument is read whole: the prefix count must be a positive
 // integer and the Gbps floor a finite positive number. Anything else
 // (`12x`, `abc`, `0`, `inf`) or a third argument exits 2 and names it.
-#include <charconv>
-#include <cmath>
 #include <iostream>
 #include <optional>
 #include <string_view>
 
 #include "common/table.hpp"
 #include "core/estimator.hpp"
+#include "parse_value.hpp"
 
 namespace {
-
-std::optional<std::size_t> parse_count(std::string_view text) {
-  std::size_t value = 0;
-  const auto [end, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc() || end != text.data() + text.size() || value == 0) {
-    return std::nullopt;
-  }
-  return value;
-}
-
-std::optional<double> parse_gbps(std::string_view text) {
-  double value = 0.0;
-  const auto [end, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc() || end != text.data() + text.size() ||
-      !std::isfinite(value) || value <= 0.0) {
-    return std::nullopt;
-  }
-  return value;
-}
 
 int refuse(std::string_view what, const char* text) {
   std::cerr << "capacity_planner: " << what << " \"" << text << "\"\n"
@@ -56,13 +34,16 @@ int main(int argc, char** argv) {
   double min_gbps_per_vn = 5.0;  // the SLA each VN was originally promised
   if (argc > 3) return refuse("unexpected argument", argv[3]);
   if (argc > 1) {
-    const std::optional<std::size_t> count = parse_count(argv[1]);
-    if (!count) return refuse("prefixes is not a positive integer:", argv[1]);
+    const std::optional<std::size_t> count =
+        examples::parse_value<std::size_t>(argv[1]);
+    if (!count || *count == 0) {
+      return refuse("prefixes is not a positive integer:", argv[1]);
+    }
     prefixes = *count;
   }
   if (argc > 2) {
-    const std::optional<double> gbps = parse_gbps(argv[2]);
-    if (!gbps) {
+    const std::optional<double> gbps = examples::parse_value<double>(argv[2]);
+    if (!gbps || *gbps <= 0.0) {
       return refuse("min-gbps-per-vn is not a finite positive number:",
                     argv[2]);
     }

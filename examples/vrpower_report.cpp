@@ -9,13 +9,20 @@
 //                  [--prefixes P] [--seed S] [--structural]
 //
 // Example: ./build/examples/vrpower_report --scheme vm --vns 12 --alpha 0.3
+//
+// Each value is read whole: K, N and P are positive integers, F lies in
+// [0, 1], MHZ is a finite number >= 0 (0 runs at the achievable Fmax) and
+// S an unsigned integer. Anything else (`--alpha abc`, `--vns 4x`) exits 2
+// and names the flag.
+#include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "common/table.hpp"
 #include "core/validator.hpp"
+#include "parse_value.hpp"
 
 namespace {
 
@@ -25,6 +32,17 @@ namespace {
       << " [--scheme nv|vs|vm] [--vns K] [--grade -2|-1L] [--alpha F]\n"
          "       [--freq MHZ] [--stages N] [--prefixes P] [--seed S]\n"
          "       [--structural]\n";
+  std::exit(2);
+}
+
+/// The value of `flag`, read whole as a T that `ok` accepts; anything else
+/// exits 2 and names the flag.
+template <typename T, typename Ok>
+T flag_value(const std::string& flag, const char* text, Ok ok) {
+  const std::optional<T> value = vr::examples::parse_value<T>(text);
+  if (value && ok(*value)) return *value;
+  std::cerr << "vrpower_report: bad value for " << flag << ": \"" << text
+            << "\"\n";
   std::exit(2);
 }
 
@@ -42,6 +60,7 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
+    const auto positive = [](auto v) { return v > 0; };
     if (arg == "--scheme") {
       const std::string v = need_value();
       if (v == "nv") {
@@ -54,8 +73,7 @@ int main(int argc, char** argv) {
         usage(argv[0]);
       }
     } else if (arg == "--vns") {
-      scenario.vn_count = std::strtoul(need_value(), nullptr, 10);
-      if (scenario.vn_count == 0) usage(argv[0]);
+      scenario.vn_count = flag_value<std::size_t>(arg, need_value(), positive);
     } else if (arg == "--grade") {
       const std::string v = need_value();
       if (v == "-2") {
@@ -66,20 +84,19 @@ int main(int argc, char** argv) {
         usage(argv[0]);
       }
     } else if (arg == "--alpha") {
-      scenario.alpha = std::strtod(need_value(), nullptr);
-      if (scenario.alpha < 0.0 || scenario.alpha > 1.0) usage(argv[0]);
+      scenario.alpha = flag_value<double>(
+          arg, need_value(), [](double a) { return a >= 0.0 && a <= 1.0; });
     } else if (arg == "--freq") {
-      scenario.freq_mhz =
-          units::Megahertz{std::strtod(need_value(), nullptr)};
+      scenario.freq_mhz = units::Megahertz{flag_value<double>(
+          arg, need_value(), [](double mhz) { return mhz >= 0.0; })};
     } else if (arg == "--stages") {
-      scenario.stages = std::strtoul(need_value(), nullptr, 10);
-      if (scenario.stages == 0) usage(argv[0]);
+      scenario.stages = flag_value<std::size_t>(arg, need_value(), positive);
     } else if (arg == "--prefixes") {
       scenario.table_profile.prefix_count =
-          std::strtoul(need_value(), nullptr, 10);
-      if (scenario.table_profile.prefix_count == 0) usage(argv[0]);
+          flag_value<std::size_t>(arg, need_value(), positive);
     } else if (arg == "--seed") {
-      scenario.seed = std::strtoull(need_value(), nullptr, 10);
+      scenario.seed = flag_value<std::uint64_t>(
+          arg, need_value(), [](std::uint64_t) { return true; });
     } else if (arg == "--structural") {
       scenario.merged_source = core::MergedSource::kStructural;
     } else if (arg == "--help" || arg == "-h") {
