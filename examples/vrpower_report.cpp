@@ -54,13 +54,13 @@ int main(int argc, char** argv) {
   scenario.scheme = power::Scheme::kSeparate;
   scenario.vn_count = 8;
 
+  const auto positive = [](auto v) { return v > 0; };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto need_value = [&]() -> const char* {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
-    const auto positive = [](auto v) { return v > 0; };
     if (arg == "--scheme") {
       const std::string v = need_value();
       if (v == "nv") {

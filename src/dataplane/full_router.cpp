@@ -121,7 +121,8 @@ FullRouterResult run_full_router(pipeline::VirtualRouter& lookup,
   }
 
   // 2. The accepted packets through the lookup pipe at their arrival
-  //    cycles (back-pressure respected).
+  //    cycles (back-pressure respected). Exit cycles count on the
+  //    router's own clock, which reads `start` when this run begins.
   const std::uint64_t start = lookup.engine(0).now();
   const pipeline::SimulationResult lookups = pipeline::run_trace(lookup, trace);
   result.max_lookup_queue = lookups.max_queue_depth;
