@@ -1,12 +1,16 @@
 // SnapshotPublisher: correctness of the published images (every snapshot
 // equals a from-scratch build of the control-plane table at that epoch, up
-// to node numbering), version/staleness accounting, immutability of held
-// snapshots, and a reader/updater stress test that a thread-sanitizer
-// build (VR_SANITIZE=thread) checks for races.
+// to node numbering, and a mirror writer's image index for index),
+// version/staleness accounting, immutability of held snapshots, snapshots
+// that outlive their publisher, and a reader/updater stress test that a
+// thread-sanitizer build (VR_SANITIZE=thread) checks for races.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <limits>
+#include <span>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -51,6 +55,12 @@ void expect_identical_image(const FlatMultibitTrie& got,
   for (std::size_t n = 0; n < got.node_count(); ++n) {
     const auto node = static_cast<NodeIndex>(n);
     for (std::size_t slot = 0; slot < got.width(); ++slot) {
+      // Plain comparisons first: the epoch-by-epoch tests compare
+      // millions of entries.
+      if (got.child(node, slot) == want.child(node, slot) &&
+          got.next_hop(node, slot) == want.next_hop(node, slot)) {
+        continue;
+      }
       ASSERT_EQ(got.child(node, slot), want.child(node, slot))
           << "entry (" << n << ", " << slot << ")";
       ASSERT_EQ(got.next_hop(node, slot), want.next_hop(node, slot))
@@ -285,6 +295,64 @@ TEST_P(SnapshotPublisherStrideTest, ChurnCycleRestoresBaseImage) {
   expect_same_image(*last.image, *first.image);
 }
 
+// A mirror control plane and writer, fed each batch the way apply_batch
+// feeds its own (every update to the control plane, then a refresh of
+// every updated prefix from its owner), build the same image node for
+// node, so every published image must equal the mirror writer's index for
+// index. Meanwhile a seeded selection of snapshots is held for 0-5
+// publishes each, so images are let go out of order and up to seven
+// batches behind the writer; each held image must still equal the copy
+// taken when it was acquired.
+TEST_P(SnapshotPublisherStrideTest, EveryEpochEqualsAMirrorWriter) {
+  const unsigned stride = GetParam();
+  const RoutingTable base = gen_table(41, 600);
+  SnapshotPublisher publisher(base, stride);
+  UpdatableTrie control(base);
+  FlatMultibitTrie::Writer writer(std::array{&base}, stride);
+  const std::vector<RouteUpdate> stream = gen_updates(base, 2000, 43);
+  constexpr std::size_t kBatch = 20;
+
+  struct Held {
+    SnapshotPublisher::Snapshot snapshot;
+    FlatMultibitTrie copy;
+    std::size_t release_after = 0;  ///< batch after whose publish it goes
+  };
+  std::vector<Held> held;
+  const auto release_due = [&held](std::size_t batch) {
+    for (auto it = held.begin(); it != held.end();) {
+      if (it->release_after > batch) {
+        ++it;
+        continue;
+      }
+      SCOPED_TRACE(::testing::Message()
+                   << "held version " << it->snapshot.version);
+      expect_identical_image(*it->snapshot.image, it->copy);
+      it = held.erase(it);
+    }
+  };
+  Rng rng(47);
+  for (std::size_t b = 0; b < stream.size() / kBatch; ++b) {
+    const std::span<const RouteUpdate> batch(stream.data() + b * kBatch,
+                                             kBatch);
+    (void)publisher.apply_batch(batch);
+    for (const RouteUpdate& update : batch) (void)control.apply(0, update);
+    for (const RouteUpdate& update : batch) {
+      const Prefix& p = update.route.prefix;
+      writer.refresh(0, p, control.covering_route(0, p));
+    }
+    SCOPED_TRACE(::testing::Message() << "batch " << b);
+    const SnapshotPublisher::Snapshot snap = publisher.acquire();
+    ASSERT_EQ(snap.version, b + 1);
+    expect_identical_image(*snap.image, writer.image());
+    release_due(b);
+    if (::testing::Test::HasFatalFailure()) return;
+    const std::size_t hold = rng.next_below(6);
+    if (hold > 0) held.push_back({snap, *snap.image, b + hold});
+  }
+  EXPECT_EQ(publisher.route_count(), control.route_count(0));
+  release_due(std::numeric_limits<std::size_t>::max());
+}
+
 INSTANTIATE_TEST_SUITE_P(Strides, SnapshotPublisherStrideTest,
                          ::testing::Values(1u, 2u, 4u, 8u));
 
@@ -311,6 +379,44 @@ TEST(SnapshotPublisherTest, HeldSnapshotSurvivesLaterPublishes) {
     const Ipv4 addr(static_cast<std::uint32_t>(rng.next_u64()));
     EXPECT_EQ(old_snap.image->lookup(addr), oracle.lookup(addr));
   }
+}
+
+// Snapshots may outlive their publisher: both a retired and the newest
+// image stay readable after the publisher is gone, and dropping them then
+// frees them (the ASan job checks the free).
+TEST(SnapshotPublisherTest, SnapshotOutlivesPublisher) {
+  const RoutingTable base = gen_table(53);
+  const std::vector<RouteUpdate> stream = gen_updates(base, 120, 59);
+  constexpr std::size_t kBatch = 40;
+  SnapshotPublisher::Snapshot retired;
+  SnapshotPublisher::Snapshot newest;
+  {
+    SnapshotPublisher publisher(base, /*stride=*/8);
+    for (std::size_t b = 0; b < stream.size() / kBatch; ++b) {
+      (void)publisher.apply_batch(
+          std::span<const RouteUpdate>(stream.data() + b * kBatch, kBatch));
+      if (b == 0) retired = publisher.acquire();
+    }
+    newest = publisher.acquire();
+  }
+  ASSERT_EQ(retired.version, 1u);
+  ASSERT_EQ(newest.version, stream.size() / kBatch);
+
+  UpdatableTrie mirror(base);
+  for (std::size_t i = 0; i < kBatch; ++i) (void)mirror.apply(0, stream[i]);
+  const UnibitTrie retired_oracle(mirror.table_of(0));
+  for (std::size_t i = kBatch; i < stream.size(); ++i) {
+    (void)mirror.apply(0, stream[i]);
+  }
+  const UnibitTrie newest_oracle(mirror.table_of(0));
+  Rng rng(61);
+  for (int i = 0; i < 500; ++i) {
+    const Ipv4 addr(static_cast<std::uint32_t>(rng.next_u64()));
+    EXPECT_EQ(retired.image->lookup(addr), retired_oracle.lookup(addr));
+    EXPECT_EQ(newest.image->lookup(addr), newest_oracle.lookup(addr));
+  }
+  retired = {};
+  newest = {};
 }
 
 // Reader/updater stress: concurrent readers acquire snapshots and run
