@@ -366,10 +366,11 @@ CycleResult CycleRouter::finish() {
 CycleResult run_cycle_router(pipeline::VirtualRouter& lookup,
                              std::vector<IngressFrame> frames,
                              const CycleConfig& config) {
-  std::sort(frames.begin(), frames.end(),
-            [](const IngressFrame& a, const IngressFrame& b) {
-              return a.cycle < b.cycle;
-            });
+  // Stable: frames that share an arrival cycle keep the caller's order.
+  std::stable_sort(frames.begin(), frames.end(),
+                   [](const IngressFrame& a, const IngressFrame& b) {
+                     return a.cycle < b.cycle;
+                   });
   CycleRouter router(lookup, config);
   // Generous progress bound: a drained run never comes close, so hitting
   // it means the model deadlocked — abort loudly instead of hanging.

@@ -83,10 +83,11 @@ FullRouterResult run_full_router(pipeline::VirtualRouter& lookup,
                                  const FullRouterConfig& config) {
   VR_REQUIRE(config.scheduler.vn_count == lookup.vn_count(),
              "scheduler and lookup must agree on the VN count");
-  std::sort(frames.begin(), frames.end(),
-            [](const IngressFrame& a, const IngressFrame& b) {
-              return a.cycle < b.cycle;
-            });
+  // Stable: frames that share an arrival cycle keep the caller's order.
+  std::stable_sort(frames.begin(), frames.end(),
+                   [](const IngressFrame& a, const IngressFrame& b) {
+                     return a.cycle < b.cycle;
+                   });
 
   FullRouterResult result;
   Parser parser(lookup.vn_count());

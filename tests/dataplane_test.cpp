@@ -973,10 +973,10 @@ TEST_F(FullRouterFixture, EveryResultFieldMatchesRecordedDigests) {
   // {separate, merged} per kind.
   const std::uint64_t recorded[][2] = {
       {5456797297231146571u, 5456797297231146571u},
-      {1964472526070426354u, 17008536502211379663u},
-      {13928114366323779255u, 9553844112761226021u},
+      {8025632166914778733u, 15578281288056185660u},
+      {1457093222162818323u, 17580121624408371716u},
       {12822505749648476406u, 13680507835291996994u},
-      {3109569271880831840u, 14983713126812499224u},
+      {8656959192107922665u, 6200902449572835369u},
       {1688027248899955098u, 1688027248899955098u},
       {942502631049089409u, 942502631049089409u},
   };
