@@ -20,10 +20,6 @@ bool Prefix::covers(const Prefix& other) const noexcept {
   return length_ <= other.length_ && contains(other.address_);
 }
 
-bool Prefix::bit(unsigned i) const noexcept {
-  return bit_at(address_.value(), i);
-}
-
 std::string Prefix::to_string() const {
   return address_.to_string() + "/" + std::to_string(length_);
 }

@@ -7,6 +7,7 @@
 #include <string>
 #include <string_view>
 
+#include "common/bitops.hpp"
 #include "netbase/ipv4.hpp"
 
 namespace vr::net {
@@ -40,8 +41,11 @@ class Prefix {
   [[nodiscard]] bool covers(const Prefix& other) const noexcept;
 
   /// Bit `i` (0 = most significant) of the prefix address; only bits
-  /// < length() are meaningful.
-  [[nodiscard]] bool bit(unsigned i) const noexcept;
+  /// < length() are meaningful. Inline: every binary-trie walk reads one
+  /// per level.
+  [[nodiscard]] constexpr bool bit(unsigned i) const noexcept {
+    return bit_at(address_.value(), i);
+  }
 
   /// "a.b.c.d/len" text form.
   [[nodiscard]] std::string to_string() const;
