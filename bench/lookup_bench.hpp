@@ -143,17 +143,19 @@ struct ChurnResult {
   double publish_p50_us = 0.0;
   double publish_p99_us = 0.0;
   /// Medians of the PublishReceipt split: control-plane apply, image
-  /// build (patch plus copy) and pointer swap.
+  /// build (patch plus sync) and pointer swap.
   double apply_p50_us = 0.0;
   double build_p50_us = 0.0;
   double swap_p50_us = 0.0;
+  /// Median image entries a publish's sync copied.
+  double copied_entries_p50 = 0.0;
   std::uint64_t final_version = 0;
 };
 
 /// Drives `batches` churn batches of `updates_per_batch` updates through
 /// the publisher and reports publish-latency percentiles (end-to-end:
 /// control-plane apply + image build + pointer swap) and the median of
-/// each part, in microseconds.
+/// each part, in microseconds, plus the median entries each sync copied.
 inline ChurnResult publisher_churn(trie::SnapshotPublisher& publisher,
                                    const net::RoutingTable& base,
                                    std::size_t batches,
@@ -170,6 +172,7 @@ inline ChurnResult publisher_churn(trie::SnapshotPublisher& publisher,
   std::vector<double> apply_us;
   std::vector<double> build_us;
   std::vector<double> swap_us;
+  std::vector<double> copied_entries;
   for (std::size_t b = 0; b < batches; ++b) {
     const std::span<const net::RouteUpdate> batch(
         stream.data() + b * updates_per_batch, updates_per_batch);
@@ -178,6 +181,7 @@ inline ChurnResult publisher_churn(trie::SnapshotPublisher& publisher,
     apply_us.push_back(receipt.apply_ns.value() / 1e3);
     build_us.push_back(receipt.build_ns.value() / 1e3);
     swap_us.push_back(receipt.publish_ns.value() / 1e3);
+    copied_entries.push_back(static_cast<double>(receipt.entries_copied));
     publish_us.push_back(apply_us.back() + build_us.back() + swap_us.back());
   }
   const Percentiles percentiles(publish_us);
@@ -186,6 +190,7 @@ inline ChurnResult publisher_churn(trie::SnapshotPublisher& publisher,
   out.apply_p50_us = Percentiles(apply_us).at(0.50);
   out.build_p50_us = Percentiles(build_us).at(0.50);
   out.swap_p50_us = Percentiles(swap_us).at(0.50);
+  out.copied_entries_p50 = Percentiles(copied_entries).at(0.50);
   out.final_version = publisher.published_version();
   return out;
 }

@@ -7,8 +7,8 @@
 //      per-thread Mlookups/s across the probed concurrency);
 //   3. concurrent route updates through the snapshot publisher: publish
 //      latency percentiles under BGP-churn batches with their median
-//      apply/build/swap split, plus the staleness a concurrent reader
-//      actually observes.
+//      apply/build/swap split and entries copied per sync, plus the
+//      staleness a concurrent reader actually observes.
 // Emits a table on stdout and machine-readable JSON (default
 // BENCH_lookup.json; the checked-in report is bench/BENCH_lookup.json).
 //
@@ -154,7 +154,9 @@ int main(int argc, char** argv) {
             << " us per publish; p50 split: apply "
             << TextTable::num(churn.apply_p50_us, 1) << " us, build "
             << TextTable::num(churn.build_p50_us, 1) << " us, swap "
-            << TextTable::num(churn.swap_p50_us, 2) << " us\n"
+            << TextTable::num(churn.swap_p50_us, 2) << " us; p50 "
+            << TextTable::num(churn.copied_entries_p50, 0)
+            << " entries copied\n"
             << "concurrent reader: " << staleness.snapshots_read
             << " snapshots read, max staleness " << staleness.max_staleness
             << " publishes behind\n";
@@ -193,6 +195,8 @@ int main(int argc, char** argv) {
        << TextTable::num(churn.build_p50_us, 3) << ",\n"
        << "  \"update_swap_p50_us\": "
        << TextTable::num(churn.swap_p50_us, 3) << ",\n"
+       << "  \"update_copied_entries_p50\": "
+       << TextTable::num(churn.copied_entries_p50, 0) << ",\n"
        << "  \"reader_snapshots\": " << staleness.snapshots_read << ",\n"
        << "  \"reader_max_staleness\": " << staleness.max_staleness << ",\n"
        << "  \"metrics\": "

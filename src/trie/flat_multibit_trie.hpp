@@ -12,8 +12,8 @@
 //     is a bare leaf. This is the memory-minimal image: `ablation_stride`
 //     prices its per-level node counts. Its builder, the Writer, outlives
 //     the build: the table constructors move its image out, and the
-//     SnapshotPublisher keeps one and patches it per changed prefix on
-//     every epoch.
+//     SnapshotPublisher keeps one, patches it per changed prefix on every
+//     epoch and syncs the blocks it wrote into a recycled snapshot image.
 //   * The stride-1 flattening of a binary trie (UnibitTrie, MergedTrie):
 //     every node keeps its breadth-first index, entry (n, b) holds child b
 //     of n and that child's K next hops, and the root's own hops fill the
@@ -52,6 +52,10 @@ class FlatMultibitTrie {
 
   /// Stride-1 flattening of a uni-bit trie (K = 1), node for node.
   explicit FlatMultibitTrie(const UnibitTrie& trie);
+
+  /// An image with no nodes yet, of `stride` and `vn_count` lanes; not
+  /// readable until Writer::sync fills it.
+  FlatMultibitTrie(unsigned stride, std::size_t vn_count);
 
   /// Controlled prefix expansion that outlives the build (below).
   class Writer;
@@ -134,8 +138,6 @@ class FlatMultibitTrie {
       unsigned pointer_bits = 18, unsigned nhi_bits = 8) const;
 
  private:
-  FlatMultibitTrie(unsigned stride, std::size_t vn_count);
-
   [[nodiscard]] std::uint64_t entry_bits(unsigned pointer_bits,
                                          unsigned nhi_bits) const noexcept {
     return pointer_bits + std::uint64_t{nhi_bits} * vn_count_;
@@ -165,9 +167,19 @@ class FlatMultibitTrie {
 /// prefix wins a slot), and each node's parent entry. One primitive,
 /// refresh(), changes the image, so a from-scratch build (the table
 /// constructors) and a per-prefix patch (trie::SnapshotPublisher) share one
-/// expansion path.
+/// expansion path. Every write to the image stamps its 64-entry block with
+/// the current generation, so sync() can bring a copy up to date by copying
+/// only the blocks written since that copy was last synced.
 class FlatMultibitTrie::Writer {
  public:
+  /// What one sync() did.
+  struct Synced {
+    /// The generation the copy is now synced at: pass it as `since` to the
+    /// copy's next sync.
+    std::uint64_t generation = 0;
+    std::size_t entries_copied = 0;
+  };
+
   /// The image of `tables` (one per VN, all non-null, K >= 1):
   /// refresh(v, route.prefix, route) for every route of every table, in
   /// table order.
@@ -192,6 +204,16 @@ class FlatMultibitTrie::Writer {
     return image_;
   }
 
+  /// Brings `copy`, an image of this writer's stride and lanes that was
+  /// last synced at generation `since`, up to date with image(): resizes it
+  /// to the writer's entry count, copies the per-level node counts, and
+  /// copies only the 64-entry blocks written after `since`. A row that
+  /// shrinks away and regrows is stamped again when it is allocated, so
+  /// every entry beyond a stale copy's end was written after `since`.
+  /// Generations start at 1: `since == 0` copies every block, which is how
+  /// an empty image is filled.
+  Synced sync(FlatMultibitTrie& copy, std::uint64_t since);
+
   /// Moves the image out; the writer is spent.
   [[nodiscard]] FlatMultibitTrie release() && { return std::move(image_); }
 
@@ -210,10 +232,15 @@ class FlatMultibitTrie::Writer {
   /// renumbering that node wherever `ancestors` (a walk's path) names it.
   void free_node(NodeIndex node, std::size_t level,
                  std::span<NodeIndex> ancestors);
+  /// Stamps the blocks of entries [first, first + count) with the current
+  /// generation.
+  void stamp(std::size_t first, std::size_t count);
 
   FlatMultibitTrie image_;
   std::vector<std::uint8_t> route_lens_;  // parallel to image_.next_hops_
   std::vector<std::size_t> parents_;      // parent entry per node
+  std::vector<std::uint64_t> stamps_;     // last write's generation, per block
+  std::uint64_t generation_ = 1;          // stamp of writes since last sync
 };
 
 /// Stride-1 flattening of a K-way binary trie, fed one node at a time in

@@ -8,12 +8,16 @@
 // FlatMultibitTrie::Writer (the stride-k image plus its CPE tie-break
 // lengths). Each batch goes to the control plane first; then every
 // updated prefix is refreshed in the writer from the route that now covers
-// it, and the writer's image is copied into a new immutable snapshot and
+// it, and a retired snapshot image is synced with the writer (only the
+// 64-entry blocks written since it was last synced are copied) and
 // atomically published. Readers acquire() a shared_ptr snapshot and run
 // lookups against a frozen image — never blocked by the writer, never
-// observing a half-applied batch. A published image is never written
-// again; the last shared_ptr release reclaims it (deferred reclamation),
-// so a reader mid-batch keeps its epoch alive for free.
+// observing a half-applied batch. A published image is not written while
+// any snapshot holds it: its shared_ptr deleter, which runs only after the
+// last release, hands it back to a one-image pool, and a later batch syncs
+// and publishes it again. So a reader mid-batch keeps its epoch alive for
+// free, and in steady state a batch reuses the image published two
+// batches before it.
 //
 // Staleness is observable: every published image carries a monotonically
 // increasing version, and staleness_of() reports how many batches a held
@@ -51,9 +55,11 @@ class SnapshotPublisher {
     std::size_t updates_applied = 0;
     UpdateCost cost;                   ///< control-plane write accounting
     units::Nanoseconds apply_ns{0.0};  ///< control-plane update time
-    /// Image build time: the per-prefix patch plus the snapshot copy.
+    /// Image build time: the per-prefix patch plus the snapshot sync.
     units::Nanoseconds build_ns{0.0};
     units::Nanoseconds publish_ns{0.0};  ///< pointer-swap time
+    /// Image entries the sync copied (whole 64-entry blocks).
+    std::size_t entries_copied = 0;
   };
 
   /// Builds and publishes the initial image (version 0) from `base`.
@@ -64,7 +70,8 @@ class SnapshotPublisher {
   SnapshotPublisher& operator=(const SnapshotPublisher&) = delete;
 
   /// Applies one churn batch to the control plane, patches the writer's
-  /// image at every updated prefix, and publishes a copy of it as the next
+  /// image at every updated prefix, syncs a retired image (or, when every
+  /// one is still held, a new one) with it, and publishes that as the next
   /// version. Single writer only: concurrent apply_batch calls are a caller
   /// bug.
   PublishReceipt apply_batch(std::span<const net::RouteUpdate> updates);
@@ -93,11 +100,36 @@ class SnapshotPublisher {
   }
 
  private:
+  /// Where a published image goes once its last snapshot is released. It
+  /// keeps at most one spare, with the writer generation it was synced at,
+  /// and is shared with every published image's deleter, so a snapshot
+  /// that outlives its publisher still frees its image through it.
+  class ImagePool {
+   public:
+    struct Spare {
+      std::unique_ptr<FlatMultibitTrie> image;  ///< null when none is kept
+      std::uint64_t synced_at = 0;
+    };
+    /// Keeps the fresher of `spare` and the kept spare; frees the other.
+    void give(Spare spare);
+    /// The kept spare, leaving none.
+    Spare take();
+
+   private:
+    std::mutex mutex_;
+    Spare spare_;  // guarded_by(mutex_)
+  };
+
+  /// Syncs the spare image (or a new one) with the writer, and wraps it
+  /// so that its last release hands it back to the pool.
+  std::shared_ptr<const FlatMultibitTrie> sync_image(
+      std::size_t* entries_copied);
   void publish(std::shared_ptr<const FlatMultibitTrie> image,
                std::uint64_t version);
 
   UpdatableTrie control_;            // writer-owned control plane, one VN
   FlatMultibitTrie::Writer writer_;  // writer-owned image, never published
+  std::shared_ptr<ImagePool> pool_ = std::make_shared<ImagePool>();
 
   mutable std::mutex publish_mutex_;  // also orders version_ stores
   // guarded_by(publish_mutex_)
