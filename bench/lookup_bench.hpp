@@ -8,6 +8,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -34,9 +35,9 @@ inline std::vector<net::Ipv4> random_addresses(std::size_t count,
   return addrs;
 }
 
-/// Folds a result vector into a checksum so the compiler cannot discard
+/// Folds lookup results into a checksum so the compiler cannot discard
 /// the lookup work being timed.
-inline std::uint64_t fold_hops(const std::vector<net::NextHop>& hops) {
+inline std::uint64_t fold_hops(std::span<const net::NextHop> hops) {
   std::uint64_t sink = 0;
   for (const net::NextHop hop : hops) sink += hop;
   return sink;
@@ -98,8 +99,10 @@ struct ThreadedMlps {
 
 /// Aggregate Mlookups/s of `threads` concurrent readers, each resolving
 /// `addrs` `reps` times against the same read-only structure via
-/// `run_batch` (must be callable concurrently). One wall clock spans the
-/// whole pool, so on an oversubscribed host total_mlps stays honest
+/// `run_batch(out)`, which writes one next hop per key into `out` (must be
+/// callable concurrently). Each thread reuses one result buffer across its
+/// reps, so the pool times lookups, not allocations. One wall clock spans
+/// the whole pool, so on an oversubscribed host total_mlps stays honest
 /// (timesharing shows up as lower per-thread throughput).
 template <typename RunBatch>
 ThreadedMlps threaded_mlps(const std::vector<net::Ipv4>& addrs,
@@ -110,8 +113,10 @@ ThreadedMlps threaded_mlps(const std::vector<net::Ipv4>& addrs,
   out.threads = threads == 0 ? 1 : threads;
   std::vector<std::uint64_t> sinks(out.threads, 0);
   const auto worker = [&](std::size_t t) {
+    std::vector<net::NextHop> hops(addrs.size());
     for (unsigned rep = 0; rep < reps; ++rep) {
-      sinks[t] += fold_hops(run_batch());
+      run_batch(std::span<net::NextHop>(hops));
+      sinks[t] += fold_hops(hops);
     }
   };
   const Clock::time_point start = Clock::now();

@@ -131,8 +131,11 @@ int main(int argc, char** argv) {
   const auto best_image = std::make_shared<const trie::FlatMultibitTrie>(
       table, best_stride);
   const bench::ThreadedMlps scaling = bench::threaded_mlps(
-      addrs, [&] { return best_image->lookup_batch(addrs); }, pool, reps,
-      &sink);
+      addrs,
+      [&](std::span<net::NextHop> out) {
+        best_image->lookup_batch(addrs, out);
+      },
+      pool, reps, &sink);
   std::cout << "thread scaling (stride " << best_stride << ", " << pool
             << " threads, source " << probe.source
             << "): " << TextTable::num(scaling.total_mlps, 2)

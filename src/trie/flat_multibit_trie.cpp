@@ -369,6 +369,9 @@ template <typename AddrFn, typename VnFn>
 void FlatMultibitTrie::lookup_batch_core(std::size_t count, AddrFn&& addr_at,
                                          VnFn&& vn_at,
                                          net::NextHop* out) const {
+  const LookupMetrics& metrics = LookupMetrics::get();
+  metrics.batches.add(1);
+  metrics.keys.add(count);
   // Lane-interleaved software pipeline: a window of kBatchWindow lookups is
   // in flight; each round advances every lane one level and prefetches the
   // exact entry the lane will read next round, so the dependent memory
@@ -431,23 +434,25 @@ void FlatMultibitTrie::lookup_batch_core(std::size_t count, AddrFn&& addr_at,
   }
 }
 
-std::vector<net::NextHop> FlatMultibitTrie::lookup_batch(
-    std::span<const net::Ipv4> addrs, net::VnId vn) const {
-  const LookupMetrics& metrics = LookupMetrics::get();
-  metrics.batches.add(1);
-  metrics.keys.add(addrs.size());
-  std::vector<net::NextHop> out(addrs.size(), net::kNoRoute);
+void FlatMultibitTrie::lookup_batch(std::span<const net::Ipv4> addrs,
+                                    std::span<net::NextHop> out,
+                                    net::VnId vn) const {
+  VR_REQUIRE(out.size() == addrs.size(),
+             "a batched lookup needs one result slot per address");
   lookup_batch_core(
       addrs.size(), [&](std::size_t i) { return addrs[i].value(); },
       [&](std::size_t) { return vn; }, out.data());
+}
+
+std::vector<net::NextHop> FlatMultibitTrie::lookup_batch(
+    std::span<const net::Ipv4> addrs, net::VnId vn) const {
+  std::vector<net::NextHop> out(addrs.size(), net::kNoRoute);
+  lookup_batch(addrs, out, vn);
   return out;
 }
 
 std::vector<net::NextHop> FlatMultibitTrie::lookup_batch(
     std::span<const net::Packet> packets) const {
-  const LookupMetrics& metrics = LookupMetrics::get();
-  metrics.batches.add(1);
-  metrics.keys.add(packets.size());
   std::vector<net::NextHop> out(packets.size(), net::kNoRoute);
   lookup_batch_core(
       packets.size(),

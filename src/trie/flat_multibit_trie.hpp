@@ -120,6 +120,11 @@ class FlatMultibitTrie {
   [[nodiscard]] std::vector<net::NextHop> lookup_batch(
       std::span<const net::Ipv4> addrs, net::VnId vn = 0) const;
 
+  /// The same into `out`, one slot per address, so that a caller can
+  /// reuse one buffer across batches.
+  void lookup_batch(std::span<const net::Ipv4> addrs,
+                    std::span<net::NextHop> out, net::VnId vn = 0) const;
+
   /// Batched lookup of VNID-tagged packets (merged-image dataplane path).
   [[nodiscard]] std::vector<net::NextHop> lookup_batch(
       std::span<const net::Packet> packets) const;
@@ -147,8 +152,8 @@ class FlatMultibitTrie {
                                         net::VnId vn) const noexcept;
 
   /// Pipelined batch core: resolves the key (addr_at(i), vn_at(i)) into
-  /// `out[i]` for i in [0, count). Defined in the implementation file;
-  /// instantiated only there.
+  /// `out[i]` for i in [0, count), and counts the batch. Defined in the
+  /// implementation file; instantiated only there.
   template <typename AddrFn, typename VnFn>
   void lookup_batch_core(std::size_t count, AddrFn&& addr_at, VnFn&& vn_at,
                          net::NextHop* out) const;

@@ -116,6 +116,23 @@ TEST_P(FlatMultibitDifferential, BatchMatchesScalar) {
   }
 }
 
+// The buffer overload fills a caller's buffer, reused across batches,
+// with exactly the vector overload's results, and refuses a buffer of
+// another size.
+TEST(FlatMultibitTrieTest, BatchIntoReusedBufferMatchesVectorBatch) {
+  const RoutingTable table = gen_table(47);
+  const FlatMultibitTrie flat(table, 8);
+  std::vector<net::NextHop> buffer(257);
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const std::vector<Ipv4> addrs = random_addrs(buffer.size(), seed);
+    flat.lookup_batch(addrs, buffer);
+    EXPECT_EQ(buffer, flat.lookup_batch(addrs));
+  }
+  const std::vector<Ipv4> addrs = random_addrs(10, 4);
+  std::vector<net::NextHop> short_buffer(9);
+  EXPECT_DEATH(flat.lookup_batch(addrs, short_buffer), "result slot");
+}
+
 TEST_P(FlatMultibitDifferential, MergedImageMatchesPerVnOracles) {
   const unsigned stride = GetParam();
   std::vector<RoutingTable> tables;
