@@ -18,9 +18,9 @@ constexpr unsigned kBatchWindow = 8;
 /// Writer::parents_ entry of the root, which no entry points to.
 constexpr std::size_t kNoParent = ~std::size_t{0};
 
-/// Entries per Writer write stamp. Replaying route-churn's stream at
-/// stride 8, two batches write 24 % of the node rows but 7.4 % of the
-/// 64-entry blocks.
+/// Entries per Writer write stamp. A batch writes a few entries in many
+/// node rows: replaying route-churn's stream at stride 8, syncing an image
+/// two batches behind copies a median 108 of its 1,364 64-entry blocks.
 constexpr std::size_t kStampBlock = 64;
 
 /// Portable prefetch-for-read hint; compiles to nothing when the builtin
@@ -237,9 +237,9 @@ void FlatMultibitTrie::Writer::free_emptied(std::uint32_t addr,
 void FlatMultibitTrie::Writer::stamp(std::size_t first, std::size_t count) {
   const std::size_t last_block = (first + count - 1) / kStampBlock;
   if (stamps_.size() <= last_block) stamps_.resize(last_block + 1);
-  std::fill(stamps_.begin() + static_cast<std::ptrdiff_t>(first / kStampBlock),
-            stamps_.begin() + static_cast<std::ptrdiff_t>(last_block + 1),
-            generation_);
+  for (std::size_t b = first / kStampBlock; b <= last_block; ++b) {
+    stamps_[b] = generation_;
+  }
 }
 
 FlatMultibitTrie::Writer::Synced FlatMultibitTrie::Writer::sync(
