@@ -30,10 +30,4 @@ constexpr unsigned address_bits(std::uint64_t count) noexcept {
   return static_cast<unsigned>(std::bit_width(count - 1));
 }
 
-/// Rounds `value` up to the next multiple of `step` (step > 0).
-constexpr std::uint64_t round_up(std::uint64_t value,
-                                 std::uint64_t step) noexcept {
-  return ceil_div(value, step) * step;
-}
-
 }  // namespace vr

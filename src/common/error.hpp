@@ -25,20 +25,6 @@ class InvalidArgumentError : public Error {
   explicit InvalidArgumentError(const std::string& what) : Error(what) {}
 };
 
-/// Thrown when a parse of external text input fails.
-class ParseError : public InvalidArgumentError {
- public:
-  ParseError(const std::string& what, std::size_t line)
-      : InvalidArgumentError("parse error at line " + std::to_string(line) +
-                             ": " + what),
-        line_(line) {}
-
-  [[nodiscard]] std::size_t line() const noexcept { return line_; }
-
- private:
-  std::size_t line_;
-};
-
 /// Thrown when a requested configuration does not fit the modelled device
 /// (BRAM exhausted, I/O pins exceeded, ...).
 class CapacityError : public Error {

@@ -77,11 +77,6 @@ double percentile(std::vector<double> samples, double q) {
   return Percentiles(std::move(samples)).at(q);
 }
 
-double relative_difference(double a, double b) noexcept {
-  const double scale = std::max({std::fabs(a), std::fabs(b), 1e-300});
-  return std::fabs(a - b) / scale;
-}
-
 double percentage_error(double model, double experimental) noexcept {
   if (experimental == 0.0) return model == 0.0 ? 0.0 : HUGE_VAL;
   return (model - experimental) / experimental * 100.0;

@@ -53,9 +53,6 @@ class Percentiles {
   std::vector<double> sorted_;
 };
 
-/// Relative difference |a-b| / max(|a|,|b|,eps); symmetric, safe near zero.
-double relative_difference(double a, double b) noexcept;
-
 /// Signed percentage error of a model value against an experimental
 /// reference, exactly as defined in the paper (Sec. VI-A):
 ///   (model - experimental) / experimental * 100.

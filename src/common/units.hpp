@@ -42,19 +42,9 @@ constexpr double uw_to_w(double microwatts) noexcept {
   return microwatts / kMicroPerUnit;
 }
 
-/// Converts watts to microwatts.
-constexpr double w_to_uw(double watts) noexcept {
-  return watts * kMicroPerUnit;
-}
-
 /// Converts watts to milliwatts.
 constexpr double w_to_mw(double watts) noexcept {
   return watts * kMilliPerUnit;
-}
-
-/// Converts milliwatts to watts.
-constexpr double mw_to_w(double milliwatts) noexcept {
-  return milliwatts / kMilliPerUnit;
 }
 
 /// Kib/Mib in bits, as used for BRAM capacities ("18 Kb block", "26 Mb").
@@ -66,10 +56,7 @@ inline constexpr double kMibit = 1024.0 * 1024.0;
 ///   P = c·f µW = c·f·1e-6 W; cycles/s = f·1e6; E = P/cycles = c·1e-12 J.
 /// This identity lets the cycle-level pipeline simulator account energy with
 /// the same coefficients the analytical model uses.
-constexpr double uw_per_mhz_to_pj_per_cycle(double coefficient) noexcept {
-  return coefficient;
-}
-
+///
 /// Average power (W) of `energy_pj` picojoules spent over `cycles` cycles at
 /// `freq_mhz` MHz: P = E / t, t = cycles / (f·1e6). A non-positive cycle
 /// count or frequency describes a clock-gated (idle) operating point, whose

@@ -3,15 +3,13 @@
 #include <algorithm>
 
 #include "common/error.hpp"
+#include "fpga/freq_model.hpp"
 #include "power/efficiency.hpp"
 
 namespace vr::core {
 
-PowerEstimator::PowerEstimator(fpga::DeviceSpec device,
-                               fpga::FreqModelParams freq_params)
-    : device_(std::move(device)),
-      freq_params_(freq_params),
-      model_(device_) {}
+PowerEstimator::PowerEstimator(fpga::DeviceSpec device)
+    : device_(std::move(device)), model_(device_) {}
 
 Estimate PowerEstimator::estimate(const Scenario& scenario) const {
   const Workload workload = realize_workload(scenario);
@@ -47,8 +45,8 @@ units::Megahertz PowerEstimator::operating_frequency_mhz(
   resources.bram_halves = plan.total.halves();
   resources.pipelines = engines_on_device;
 
-  const units::Megahertz fmax = fpga::achievable_fmax_mhz(
-      device_, scenario.grade, resources, freq_params_);
+  const units::Megahertz fmax =
+      fpga::achievable_fmax_mhz(device_, scenario.grade, resources);
   return scenario.freq_mhz > units::Megahertz{0.0}
              ? std::min(scenario.freq_mhz, fmax)
              : fmax;

@@ -6,7 +6,6 @@
 #include "core/scenario.hpp"
 #include "core/workload.hpp"
 #include "fpga/device.hpp"
-#include "fpga/freq_model.hpp"
 #include "power/analytical_model.hpp"
 #include "power/resource_model.hpp"
 
@@ -25,8 +24,7 @@ struct Estimate {
 
 class PowerEstimator {
  public:
-  explicit PowerEstimator(fpga::DeviceSpec device,
-                          fpga::FreqModelParams freq_params = {});
+  explicit PowerEstimator(fpga::DeviceSpec device);
 
   /// Realizes the scenario's workload and estimates it.
   [[nodiscard]] Estimate estimate(const Scenario& scenario) const;
@@ -49,7 +47,6 @@ class PowerEstimator {
 
  private:
   fpga::DeviceSpec device_;
-  fpga::FreqModelParams freq_params_;
   power::AnalyticalModel model_;
 };
 

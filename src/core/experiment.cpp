@@ -9,9 +9,8 @@
 namespace vr::core {
 
 ExperimentRunner::ExperimentRunner(fpga::DeviceSpec device,
-                                   fpga::PnrEffects effects,
-                                   fpga::FreqModelParams freq_params)
-    : sim_(std::move(device), effects), freq_params_(freq_params) {}
+                                   fpga::PnrEffects effects)
+    : sim_(std::move(device), effects) {}
 
 ExperimentResult ExperimentRunner::run(const Scenario& scenario) const {
   const Workload workload = realize_workload(scenario);
@@ -25,7 +24,6 @@ fpga::PnrDesign ExperimentRunner::device_design(
   design.grade = scenario.grade;
   design.bram_policy = scenario.bram_policy;
   design.requested_freq_mhz = scenario.freq_mhz;
-  design.freq_params = freq_params_;
 
   std::vector<double> mu = scenario.utilization;
   if (mu.empty()) {

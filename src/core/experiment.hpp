@@ -22,8 +22,7 @@ struct ExperimentResult {
 class ExperimentRunner {
  public:
   explicit ExperimentRunner(fpga::DeviceSpec device,
-                            fpga::PnrEffects effects = {},
-                            fpga::FreqModelParams freq_params = {});
+                            fpga::PnrEffects effects = {});
 
   /// Realizes the workload and runs the experiment.
   [[nodiscard]] ExperimentResult run(const Scenario& scenario) const;
@@ -45,7 +44,6 @@ class ExperimentRunner {
                                               std::size_t device_index) const;
 
   fpga::PnrSimulator sim_;
-  fpga::FreqModelParams freq_params_;
 };
 
 }  // namespace vr::core

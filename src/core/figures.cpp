@@ -15,6 +15,9 @@ namespace {
 constexpr double kFreqStartMhz = 100.0;
 constexpr double kFreqStopMhz = 500.0;
 constexpr double kFreqStepMhz = 50.0;
+/// The paper's two merged cases: "α = 80 %" and "α = 20 %".
+constexpr double kAlphaHigh = 0.8;
+constexpr double kAlphaLow = 0.2;
 
 /// Wall time to build one figure, one labeled family member per figure.
 obs::Histogram& figure_timer(const char* figure) {
@@ -25,11 +28,10 @@ obs::Histogram& figure_timer(const char* figure) {
 }  // namespace
 
 FigureBuilder::FigureBuilder(fpga::DeviceSpec device, FigureOptions options,
-                             fpga::PnrEffects effects,
-                             fpga::FreqModelParams freq_params)
+                             fpga::PnrEffects effects)
     : device_(std::move(device)),
       options_(options),
-      validator_(device_, effects, freq_params),
+      validator_(device_, effects),
       runner_(options.threads) {}
 
 std::shared_ptr<const Workload> FigureBuilder::workload_for(
@@ -99,10 +101,10 @@ SeriesTable FigureBuilder::fig3_logic_power() const {
 FigureBuilder::Fig4 FigureBuilder::fig4_memory() const {
   const obs::ScopedTimer timer(figure_timer("fig4"));
   const std::string hi = "merged(a=" +
-                         TextTable::num(options_.alpha_high * 100.0, 0) +
+                         TextTable::num(kAlphaHigh * 100.0, 0) +
                          "%)";
   const std::string lo = "merged(a=" +
-                         TextTable::num(options_.alpha_low * 100.0, 0) + "%)";
+                         TextTable::num(kAlphaLow * 100.0, 0) + "%)";
   Fig4 fig{
       SeriesTable("Fig. 4 (left) - pointer memory vs #VNs (Kbits)",
                   "vn_count", {hi, lo, "separate"}),
@@ -121,8 +123,8 @@ FigureBuilder::Fig4 FigureBuilder::fig4_memory() const {
         const struct {
           power::Scheme scheme;
           double alpha;
-        } cases[3] = {{power::Scheme::kMerged, options_.alpha_high},
-                      {power::Scheme::kMerged, options_.alpha_low},
+        } cases[3] = {{power::Scheme::kMerged, kAlphaHigh},
+                      {power::Scheme::kMerged, kAlphaLow},
                       {power::Scheme::kSeparate, 1.0}};
         for (int c = 0; c < 3; ++c) {
           const Scenario s = sweep_scenario(cases[c].scheme, k,
@@ -161,8 +163,8 @@ SeriesTable FigureBuilder::fig5_total_power(fpga::SpeedGrade grade) const {
           double alpha;
         } cases[] = {{power::Scheme::kNonVirtualized, 1.0},
                      {power::Scheme::kSeparate, 1.0},
-                     {power::Scheme::kMerged, options_.alpha_high},
-                     {power::Scheme::kMerged, options_.alpha_low}};
+                     {power::Scheme::kMerged, kAlphaHigh},
+                     {power::Scheme::kMerged, kAlphaLow}};
         for (const auto& c : cases) {
           const Scenario s = sweep_scenario(c.scheme, k, c.alpha, grade);
           const ValidationPoint point =
@@ -193,8 +195,8 @@ SeriesTable FigureBuilder::fig6_virtualized_power(
           power::Scheme scheme;
           double alpha;
         } cases[] = {{power::Scheme::kSeparate, 1.0},
-                     {power::Scheme::kMerged, options_.alpha_high},
-                     {power::Scheme::kMerged, options_.alpha_low}};
+                     {power::Scheme::kMerged, kAlphaHigh},
+                     {power::Scheme::kMerged, kAlphaLow}};
         for (const auto& c : cases) {
           const Scenario s = sweep_scenario(c.scheme, k, c.alpha, grade);
           const ValidationPoint point =
@@ -224,8 +226,8 @@ SeriesTable FigureBuilder::fig7_model_error(fpga::SpeedGrade grade) const {
           double alpha;
         } cases[] = {{power::Scheme::kNonVirtualized, 1.0},
                      {power::Scheme::kSeparate, 1.0},
-                     {power::Scheme::kMerged, options_.alpha_high},
-                     {power::Scheme::kMerged, options_.alpha_low}};
+                     {power::Scheme::kMerged, kAlphaHigh},
+                     {power::Scheme::kMerged, kAlphaLow}};
         for (const auto& c : cases) {
           const Scenario s = sweep_scenario(c.scheme, k, c.alpha, grade);
           const ValidationPoint point =
@@ -255,8 +257,8 @@ SeriesTable FigureBuilder::fig8_efficiency(fpga::SpeedGrade grade) const {
           double alpha;
         } cases[] = {{power::Scheme::kNonVirtualized, 1.0},
                      {power::Scheme::kSeparate, 1.0},
-                     {power::Scheme::kMerged, options_.alpha_high},
-                     {power::Scheme::kMerged, options_.alpha_low}};
+                     {power::Scheme::kMerged, kAlphaHigh},
+                     {power::Scheme::kMerged, kAlphaLow}};
         for (const auto& c : cases) {
           const Scenario s = sweep_scenario(c.scheme, k, c.alpha, grade);
           const ExperimentResult exp =

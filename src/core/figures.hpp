@@ -20,8 +20,6 @@ struct FigureOptions {
   std::size_t max_vn = 15;       ///< Figs. 5–8 sweep K = 1..15 (Sec. VI-A)
   std::size_t memory_max_vn = 30;  ///< Fig. 4 sweeps K = 1..30
   std::size_t stages = 28;
-  double alpha_high = 0.8;  ///< "α = 80 %"
-  double alpha_low = 0.2;   ///< "α = 20 %"
   net::TableProfile table_profile = net::TableProfile::edge_default();
   MergedSource merged_source = MergedSource::kAnalyticAlpha;
   fpga::BramPolicy bram_policy = fpga::BramPolicy::kMixed;
@@ -38,8 +36,7 @@ struct FigureOptions {
 class FigureBuilder {
  public:
   explicit FigureBuilder(fpga::DeviceSpec device, FigureOptions options = {},
-                         fpga::PnrEffects effects = {},
-                         fpga::FreqModelParams freq_params = {});
+                         fpga::PnrEffects effects = {});
 
   /// Fig. 2 — BRAM power (mW) of one 18 Kb / 36 Kb block vs frequency
   /// (100..500 MHz), both speed grades.

@@ -1,18 +1,13 @@
 #include "core/validator.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/stats.hpp"
 #include "core/sweep.hpp"
 
 namespace vr::core {
 
 ModelValidator::ModelValidator(fpga::DeviceSpec device,
-                               fpga::PnrEffects effects,
-                               fpga::FreqModelParams freq_params)
-    : estimator_(device, freq_params),
-      runner_(std::move(device), effects, freq_params) {}
+                               fpga::PnrEffects effects)
+    : estimator_(device), runner_(std::move(device), effects) {}
 
 ValidationPoint ModelValidator::validate(const Scenario& scenario) const {
   const Workload workload = realize_workload(scenario);
@@ -43,15 +38,6 @@ std::vector<ValidationPoint> ModelValidator::validate_all(
   return runner.map(scenarios.size(), [&](std::size_t i) {
     return validate(scenarios[i]);
   });
-}
-
-double ModelValidator::max_abs_error_pct(
-    const std::vector<ValidationPoint>& points) {
-  double worst = 0.0;
-  for (const ValidationPoint& p : points) {
-    worst = std::max(worst, std::fabs(p.error_total_pct));
-  }
-  return worst;
 }
 
 }  // namespace vr::core

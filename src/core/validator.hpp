@@ -23,8 +23,7 @@ struct ValidationPoint {
 
 class ModelValidator {
  public:
-  ModelValidator(fpga::DeviceSpec device, fpga::PnrEffects effects = {},
-                 fpga::FreqModelParams freq_params = {});
+  ModelValidator(fpga::DeviceSpec device, fpga::PnrEffects effects = {});
 
   /// Validates one scenario (realizing its workload once for both sides).
   [[nodiscard]] ValidationPoint validate(const Scenario& scenario) const;
@@ -39,10 +38,6 @@ class ModelValidator {
   /// order always matches `scenarios`.
   [[nodiscard]] std::vector<ValidationPoint> validate_all(
       const std::vector<Scenario>& scenarios, std::size_t threads = 1) const;
-
-  /// Largest |total error| over a set of points.
-  [[nodiscard]] static double max_abs_error_pct(
-      const std::vector<ValidationPoint>& points);
 
   [[nodiscard]] const PowerEstimator& estimator() const noexcept {
     return estimator_;

@@ -39,10 +39,8 @@ std::string WorkloadCache::key(const Scenario& scenario, bool keep_tables) {
   const net::TableProfile& profile = scenario.table_profile;
   append_size(&key, profile.prefix_count);
   append_size(&key, profile.provider_blocks);
-  append_size(&key, profile.provider_block_length);
   append_size(&key, profile.min_length);
   append_size(&key, profile.density_span);
-  append_double(&key, profile.nested_fraction);
   append_size(&key, profile.next_hop_count);
   for (const double weight : profile.length_weights) {
     append_double(&key, weight);

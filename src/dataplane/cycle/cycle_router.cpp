@@ -10,6 +10,9 @@ namespace vr::dataplane::cycle {
 
 namespace {
 
+/// Flits the line card can push into VC buffers per VN per cycle.
+constexpr std::size_t kIngressFlitsPerCycle = 4;
+
 /// Folds one cycle-level run into the process-wide registry
 /// ("dataplane.cycle.*") so `--metrics` reports flit flow, stall and
 /// arbitration behaviour across every run a binary performed.
@@ -71,8 +74,6 @@ CycleRouter::CycleRouter(pipeline::VirtualRouter& lookup, CycleConfig config)
   }
   VR_REQUIRE(config_.vc_capacity_flits >= 1, "VC buffers need capacity");
   VR_REQUIRE(config_.flit_bytes >= 1, "flits need a positive size");
-  VR_REQUIRE(config_.ingress_flits_per_cycle >= 1,
-             "ingress needs positive flit bandwidth");
   VR_REQUIRE(config_.switch_flits_per_cycle >= 1,
              "switch needs positive flit bandwidth");
   const std::size_t k = config_.vc.vn_count;
@@ -141,7 +142,7 @@ void CycleRouter::ingress_flits() {
     SourcePacket& head = source_[vn].front();
     if (head.vc == kNoVc) continue;
     VcState& vc = vcs_[head.vc];
-    std::size_t budget = config_.ingress_flits_per_cycle;
+    std::size_t budget = kIngressFlitsPerCycle;
     while (budget > 0 && head.flits_sent < head.flits_total) {
       if (vc.credits == 0) {
         ++stats_.credit_stalls;

@@ -41,8 +41,6 @@ struct CycleConfig {
   /// Flit payload granularity. A packet of B bytes occupies
   /// ceil(B / flit_bytes) flits (head flit carries the header).
   std::uint32_t flit_bytes = 64;
-  /// Flits the line card can push into VC buffers per VN per cycle.
-  std::size_t ingress_flits_per_cycle = 4;
   /// Crossbar bandwidth: flits moved from VC buffers to the egress
   /// queues per cycle, all VNs combined.
   std::size_t switch_flits_per_cycle = 4;

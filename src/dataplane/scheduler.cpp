@@ -7,6 +7,9 @@
 
 namespace vr::dataplane {
 
+/// DRR quantum per VN per round, bytes, before the VN's weight.
+constexpr double kBaseQuantumBytes = 1500.0;
+
 DrrScheduler::DrrScheduler(SchedulerConfig config)
     : config_(std::move(config)) {
   VR_REQUIRE(config_.port_count >= 1, "need at least one port");
@@ -40,7 +43,7 @@ DrrScheduler::DrrScheduler(SchedulerConfig config)
 double DrrScheduler::quantum_for(net::VnId vn) const {
   const double weight =
       config_.vn_weights.empty() ? 1.0 : config_.vn_weights[vn];
-  return static_cast<double>(config_.base_quantum_bytes) * weight;
+  return kBaseQuantumBytes * weight;
 }
 
 bool DrrScheduler::enqueue(const ForwardedPacket& packet,

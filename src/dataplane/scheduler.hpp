@@ -20,9 +20,8 @@ namespace vr::dataplane {
 struct SchedulerConfig {
   std::size_t port_count = 16;
   std::size_t vn_count = 1;
-  /// DRR quantum per VN per round, bytes. Per-VN weights scale the
-  /// quantum; empty = equal weights.
-  std::uint32_t base_quantum_bytes = 1500;
+  /// Per-VN DRR weights; each scales the 1,500-byte base quantum a VN's
+  /// queue receives per round. Empty = equal weights.
   std::vector<double> vn_weights;
   /// Per-(port, VN) queue capacity in packets; arrivals beyond it tail-drop.
   std::size_t queue_capacity = 64;

@@ -45,13 +45,6 @@ BramAllocation allocate_bram(std::uint64_t bits, BramPolicy policy) noexcept {
   return alloc;
 }
 
-double StageBramPlan::mean_stage_blocks36eq() const noexcept {
-  if (per_stage.empty()) return 0.0;
-  double sum = 0.0;
-  for (const auto& alloc : per_stage) sum += alloc.blocks36_equivalent();
-  return sum / static_cast<double>(per_stage.size());
-}
-
 StageBramPlan plan_stage_bram(const std::vector<std::uint64_t>& stage_bits,
                               BramPolicy policy) {
   StageBramPlan plan;

@@ -27,10 +27,6 @@ struct BramAllocation {
   std::uint64_t blocks18 = 0;
   std::uint64_t blocks36 = 0;
 
-  [[nodiscard]] std::uint64_t capacity_bits() const noexcept {
-    return blocks18 * bram_capacity_bits(BramKind::k18) +
-           blocks36 * bram_capacity_bits(BramKind::k36);
-  }
   /// Physical footprint in 18 Kb halves (a 36 Kb block = 2 halves). The
   /// device's total BRAM is tracked in halves.
   [[nodiscard]] std::uint64_t halves() const noexcept {
@@ -67,8 +63,6 @@ struct StageBramPlan {
   std::vector<BramAllocation> per_stage;
   BramAllocation total;
   double max_stage_blocks36eq = 0.0;
-
-  [[nodiscard]] double mean_stage_blocks36eq() const noexcept;
 };
 
 [[nodiscard]] StageBramPlan plan_stage_bram(

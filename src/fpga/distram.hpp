@@ -15,27 +15,12 @@
 
 namespace vr::fpga {
 
-/// Calibration of the distributed-RAM power model:
-///   P(M) = (base + per_kbit * M/1Kb) * f   [µW, f in MHz]
-/// With the defaults, distRAM beats one 18 Kb BRAM block below ~11 Kbit
-/// and loses beyond it — the crossover that makes hybrid mapping useful.
-struct DistRamParams {
-  /// Addressing/control overhead, µW per MHz.
-  double base_uw_per_mhz = 0.4;  // units-ok: µW/MHz calibration scalar
-  /// Per-Kbit read power, µW per MHz per Kbit (a compound coefficient the
-  /// quantity system does not model; the formula above fixes its meaning).
-  double per_kbit_uw_per_mhz = 1.2;  // units-ok: µW/MHz/Kbit calibration
-  unsigned bits_per_lut = 64;        ///< Virtex-6 LUT-RAM capacity
-};
-
 /// Dynamic power of an `bits`-bit distributed RAM at `freq_mhz`.
 [[nodiscard]] units::Watts distram_power_w(std::uint64_t bits,
-                                           units::Megahertz freq_mhz,
-                                           const DistRamParams& params = {});
+                                           units::Megahertz freq_mhz);
 
 /// LUTs consumed by an `bits`-bit distributed RAM.
-[[nodiscard]] std::uint64_t distram_luts(std::uint64_t bits,
-                                         const DistRamParams& params = {});
+[[nodiscard]] std::uint64_t distram_luts(std::uint64_t bits);
 
 /// Memory technology choice per pipeline stage.
 enum class MemoryTech {
@@ -54,13 +39,11 @@ struct StageMemoryChoice {
 /// Picks the cheaper technology for one stage at the operating point.
 [[nodiscard]] StageMemoryChoice choose_stage_memory(
     std::uint64_t bits, SpeedGrade grade, units::Megahertz freq_mhz,
-    BramPolicy bram_policy = BramPolicy::kMixed,
-    const DistRamParams& params = {});
+    BramPolicy bram_policy = BramPolicy::kMixed);
 
 /// Bit-size below which distRAM wins at any frequency (the technologies'
 /// power ratio is frequency-independent since both are linear in f).
 [[nodiscard]] std::uint64_t distram_crossover_bits(
-    SpeedGrade grade, BramPolicy bram_policy = BramPolicy::kMixed,
-    const DistRamParams& params = {});
+    SpeedGrade grade, BramPolicy bram_policy = BramPolicy::kMixed);
 
 }  // namespace vr::fpga

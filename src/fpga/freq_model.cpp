@@ -6,9 +6,18 @@
 
 namespace vr::fpga {
 
+// Calibration constants (DESIGN.md Sec. 4). They put VM(α=20 %, K=15) near
+// half the base clock while leaving single-pipeline designs at base.
+/// Penalty per additional 36 Kb-equivalent block in the widest stage.
+constexpr double kGammaStageBlocks = 0.065;
+/// Penalty proportional to device BRAM utilization in [0,1].
+constexpr double kGammaDeviceUtil = 0.25;
+/// Penalty per additional parallel pipeline beyond the first (placement
+/// spread of the separate scheme; mild).
+constexpr double kGammaPipelines = 0.004;
+
 units::Megahertz achievable_fmax_mhz(const DeviceSpec& spec, SpeedGrade grade,
-                                     const DesignResources& resources,
-                                     const FreqModelParams& params) {
+                                     const DesignResources& resources) {
   VR_REQUIRE(resources.pipelines >= 1, "a design has at least one pipeline");
   const units::Megahertz base = spec.base_fmax_mhz(grade);
   const double halves_total =
@@ -21,10 +30,8 @@ units::Megahertz achievable_fmax_mhz(const DeviceSpec& spec, SpeedGrade grade,
   const double stage_excess =
       std::max(0.0, resources.max_stage_blocks36eq - 1.0);
   const double congestion =
-      1.0 + params.gamma_stage_blocks * stage_excess +
-      params.gamma_device_util * util +
-      params.gamma_pipelines *
-          static_cast<double>(resources.pipelines - 1);
+      1.0 + kGammaStageBlocks * stage_excess + kGammaDeviceUtil * util +
+      kGammaPipelines * static_cast<double>(resources.pipelines - 1);
   return base / congestion;
 }
 

@@ -17,18 +17,6 @@
 
 namespace vr::fpga {
 
-/// Calibration constants (DESIGN.md Sec. 4). Defaults put VM(α=20 %, K=15)
-/// near half the base clock while leaving single-pipeline designs at base.
-struct FreqModelParams {
-  /// Penalty per additional 36 Kb-equivalent block in the widest stage.
-  double gamma_stage_blocks = 0.065;
-  /// Penalty proportional to device BRAM utilization in [0,1].
-  double gamma_device_util = 0.25;
-  /// Penalty per additional parallel pipeline beyond the first (placement
-  /// spread of the separate scheme; mild).
-  double gamma_pipelines = 0.004;
-};
-
 /// Resource summary of a placed design, as needed by the clock model.
 struct DesignResources {
   /// Widest single-stage footprint across all pipelines, in 36 Kb
@@ -43,6 +31,6 @@ struct DesignResources {
 /// Post-PnR achievable clock for a design on a device/grade.
 [[nodiscard]] units::Megahertz achievable_fmax_mhz(
     const DeviceSpec& spec, SpeedGrade grade,
-    const DesignResources& resources, const FreqModelParams& params = {});
+    const DesignResources& resources);
 
 }  // namespace vr::fpga

@@ -90,9 +90,8 @@ PnrReport PnrSimulator::analyze(const PnrDesign& design) const {
       0.5 * (report.bram_utilization + report.logic_utilization);
 
   // ---- Timing closure -----------------------------------------------------
-  const units::Megahertz fmax = achievable_fmax_mhz(spec_, design.grade,
-                                                    report.resources,
-                                                    design.freq_params);
+  const units::Megahertz fmax =
+      achievable_fmax_mhz(spec_, design.grade, report.resources);
   report.clock_mhz = design.requested_freq_mhz > units::Megahertz{0.0}
                          ? std::min(design.requested_freq_mhz, fmax)
                          : fmax;

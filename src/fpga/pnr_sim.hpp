@@ -48,7 +48,6 @@ struct PnrDesign {
   std::vector<PipelinePlacement> pipelines;
   /// Clock to run at; 0 = run at the achievable Fmax.
   units::Megahertz requested_freq_mhz{0.0};
-  FreqModelParams freq_params{};
 };
 
 /// Second-order effect calibration. The defaults keep every effect inside

@@ -26,7 +26,7 @@ MultipipeReport evaluate_multipipe(const PartitionedTrie& partition,
   resources.pipelines = pipelines;
   for (std::size_t p = 0; p < pipelines; ++p) {
     const trie::StageMemory memory = trie::stage_memory(
-        partition.pipeline_occupancy(p), options.encoding, 1);
+        partition.pipeline_occupancy(p), trie::NodeEncoding{}, 1);
     std::vector<std::uint64_t> stage_bits;
     stage_bits.reserve(memory.stage_count());
     for (std::size_t s = 0; s < memory.stage_count(); ++s) {
@@ -49,9 +49,8 @@ MultipipeReport evaluate_multipipe(const PartitionedTrie& partition,
     throw CapacityError("multi-pipeline deployment exceeds device BRAM");
   }
 
-  report.freq_mhz = fpga::achievable_fmax_mhz(device, options.grade,
-                                              resources,
-                                              options.freq_params);
+  report.freq_mhz =
+      fpga::achievable_fmax_mhz(device, options.grade, resources);
 
   // Logic: each lookup clocks the index stage plus one pipeline's stages;
   // with balanced traffic every pipeline sees load/P of the aggregate P

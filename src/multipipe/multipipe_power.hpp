@@ -36,8 +36,6 @@ struct MultipipeReport {
 struct MultipipeModelOptions {
   fpga::SpeedGrade grade = fpga::SpeedGrade::kMinus2;
   fpga::BramPolicy bram_policy = fpga::BramPolicy::kMixed;
-  trie::NodeEncoding encoding{};
-  fpga::FreqModelParams freq_params{};
   /// Aggregate offered load in lookups per cycle per pipeline slot (1.0 =
   /// every pipeline saturated — the throughput-normalized comparison).
   double load = 1.0;

@@ -170,12 +170,4 @@ double PartitionedTrie::balance_factor() const {
   return static_cast<double>(worst) / mean;
 }
 
-double PartitionedTrie::index_only_fraction() const {
-  std::size_t empty = 0;
-  for (const IndexEntry& entry : index_) {
-    if (entry.subtrie_root == trie::kNullNode) ++empty;
-  }
-  return static_cast<double>(empty) / static_cast<double>(index_.size());
-}
-
 }  // namespace vr::multipipe

@@ -52,10 +52,6 @@ class PartitionedTrie {
   [[nodiscard]] std::size_t pipeline_depth() const noexcept {
     return pipeline_depth_;
   }
-  /// Direct-index table size in entries (2^split_level).
-  [[nodiscard]] std::size_t index_entries() const noexcept {
-    return index_.size();
-  }
   /// Index memory in bits (pipeline id + root pointer + inherited NHI).
   [[nodiscard]] std::uint64_t index_bits() const noexcept;
 
@@ -70,10 +66,6 @@ class PartitionedTrie {
   /// Memory-balance quality: largest pipeline / mean pipeline node count
   /// (1.0 = perfect balance; [7]/[8] integrate balancing for power).
   [[nodiscard]] double balance_factor() const;
-
-  /// Fraction of index slots whose lookup terminates above the split
-  /// (no pipeline traversal at all — pure index hits).
-  [[nodiscard]] double index_only_fraction() const;
 
  private:
   void assign_subtries(const trie::UnibitTrie& trie);

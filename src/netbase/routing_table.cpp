@@ -1,12 +1,6 @@
 #include "netbase/routing_table.hpp"
 
 #include <algorithm>
-#include <charconv>
-#include <istream>
-#include <ostream>
-#include <sstream>
-
-#include "common/error.hpp"
 
 namespace vr::net {
 
@@ -75,54 +69,6 @@ unsigned RoutingTable::max_prefix_length() const noexcept {
     max_len = std::max(max_len, route.prefix.length());
   }
   return max_len;
-}
-
-std::vector<std::size_t> RoutingTable::length_histogram() const {
-  std::vector<std::size_t> hist(33, 0);
-  for (const Route& route : routes_) ++hist[route.prefix.length()];
-  return hist;
-}
-
-RoutingTable RoutingTable::parse(std::istream& in) {
-  RoutingTable table;
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    const auto first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos || line[first] == '#') continue;
-    std::istringstream fields(line);
-    std::string prefix_text;
-    long next_hop = -1;
-    fields >> prefix_text >> next_hop;
-    if (fields.fail()) {
-      throw ParseError("expected '<prefix> <next-hop>'", line_no);
-    }
-    std::string extra;
-    if (fields >> extra) {
-      throw ParseError("trailing field '" + extra + "'", line_no);
-    }
-    const auto prefix = Prefix::parse(prefix_text);
-    if (!prefix) {
-      throw ParseError("bad prefix '" + prefix_text + "'", line_no);
-    }
-    if (next_hop < 0 || next_hop >= kNoRoute) {
-      throw ParseError("next hop out of range", line_no);
-    }
-    table.add(*prefix, static_cast<NextHop>(next_hop));
-  }
-  return table;
-}
-
-RoutingTable RoutingTable::parse_text(const std::string& text) {
-  std::istringstream in(text);
-  return parse(in);
-}
-
-void RoutingTable::serialize(std::ostream& out) const {
-  for (const Route& route : routes_) {
-    out << route.prefix.to_string() << ' ' << route.next_hop << '\n';
-  }
 }
 
 }  // namespace vr::net

@@ -3,10 +3,8 @@
 // the trie and the pipeline simulator are verified against.
 #pragma once
 
-#include <iosfwd>
 #include <optional>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "netbase/prefix.hpp"
@@ -46,18 +44,6 @@ class RoutingTable {
 
   /// Longest prefix length present (0 if empty).
   [[nodiscard]] unsigned max_prefix_length() const noexcept;
-
-  /// Histogram of route count by prefix length (index 0..32).
-  [[nodiscard]] std::vector<std::size_t> length_histogram() const;
-
-  /// Parses the "a.b.c.d/len next_hop" line format. Blank lines and lines
-  /// starting with '#' are ignored. Throws vr::ParseError with a line
-  /// number on malformed input.
-  static RoutingTable parse(std::istream& in);
-  static RoutingTable parse_text(const std::string& text);
-
-  /// Serializes in the same line format (sorted order).
-  void serialize(std::ostream& out) const;
 
   friend bool operator==(const RoutingTable&, const RoutingTable&) = default;
 

@@ -8,6 +8,22 @@
 
 namespace vr::net {
 
+namespace {
+
+/// Length of each provider block (bits of shared leading path).
+constexpr unsigned kProviderBlockLength = 12;
+static_assert(kProviderBlockLength <= 24,
+              "provider blocks longer than /24 leave no room for prefixes");
+
+/// Fraction of prefixes produced by truncating an already-generated
+/// prefix to a shorter length (BGP tables are heavily nested: the
+/// paper's reference table has only ~1.7 k trie leaves for 3.7 k
+/// prefixes, i.e. most prefixes cover more-specific ones). Nesting adds
+/// prefixes without adding trie nodes.
+constexpr double kNestedFraction = 0.32;
+
+}  // namespace
+
 TableProfile TableProfile::edge_default() { return TableProfile{}; }
 
 TableProfile TableProfile::worst_case() {
@@ -22,10 +38,8 @@ SyntheticTableGenerator::SyntheticTableGenerator(TableProfile profile)
     : profile_(std::move(profile)) {
   VR_REQUIRE(profile_.prefix_count > 0, "prefix_count must be positive");
   VR_REQUIRE(profile_.provider_blocks > 0, "provider_blocks must be positive");
-  VR_REQUIRE(profile_.provider_block_length <= 24,
-             "provider blocks longer than /24 leave no room for prefixes");
   VR_REQUIRE(!profile_.length_weights.empty(), "length_weights empty");
-  VR_REQUIRE(profile_.min_length >= profile_.provider_block_length,
+  VR_REQUIRE(profile_.min_length >= kProviderBlockLength,
              "prefixes must be at least as long as their provider block");
   VR_REQUIRE(profile_.min_length + profile_.length_weights.size() - 1 <= 32,
              "length distribution extends past /32");
@@ -41,7 +55,7 @@ Route SyntheticTableGenerator::draw(
       profile_.length_weights.data(), profile_.length_weights.size()));
   const unsigned length = profile_.min_length + length_offset;
 
-  const unsigned suffix_bits = length - profile_.provider_block_length;
+  const unsigned suffix_bits = length - kProviderBlockLength;
   const std::uint64_t space =
       suffix_bits >= 64 ? 0 : (std::uint64_t{1} << suffix_bits);
   const std::uint64_t span = std::min<std::uint64_t>(
@@ -62,7 +76,7 @@ RoutingTable SyntheticTableGenerator::generate(std::uint64_t seed) const {
   for (std::size_t li = 0; li < profile_.length_weights.size(); ++li) {
     if (profile_.length_weights[li] <= 0.0) continue;
     const unsigned length = profile_.min_length + static_cast<unsigned>(li);
-    const unsigned suffix_bits = length - profile_.provider_block_length;
+    const unsigned suffix_bits = length - kProviderBlockLength;
     const std::uint64_t space = suffix_bits >= 63
                                     ? profile_.density_span
                                     : (std::uint64_t{1} << suffix_bits);
@@ -82,9 +96,9 @@ RoutingTable SyntheticTableGenerator::generate(std::uint64_t seed) const {
   std::set<std::uint32_t> block_set;
   while (block_set.size() < profile_.provider_blocks) {
     const std::uint64_t raw =
-        rng.next_below(std::uint64_t{1} << profile_.provider_block_length);
+        rng.next_below(std::uint64_t{1} << kProviderBlockLength);
     block_set.insert(static_cast<std::uint32_t>(raw)
-                     << (32u - profile_.provider_block_length));
+                     << (32u - kProviderBlockLength));
   }
   const std::vector<std::uint32_t> blocks(block_set.begin(), block_set.end());
 
@@ -100,8 +114,8 @@ RoutingTable SyntheticTableGenerator::generate(std::uint64_t seed) const {
                "table generation failed to converge; profile too dense");
     // Nested draw: truncate a previously generated prefix (adds a covering
     // route without new trie nodes — the dominant structure of real edge
-    // tables, see TableProfile::nested_fraction).
-    if (!routes.empty() && rng.next_bool(profile_.nested_fraction)) {
+    // tables, see kNestedFraction).
+    if (!routes.empty() && rng.next_bool(kNestedFraction)) {
       const Route& parent = routes[rng.next_below(routes.size())];
       if (parent.prefix.length() > profile_.min_length) {
         const unsigned new_len = static_cast<unsigned>(rng.next_in(

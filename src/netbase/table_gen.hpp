@@ -33,9 +33,6 @@ struct TableProfile {
   /// blocks => more path sharing => fewer trie nodes per prefix.
   std::size_t provider_blocks = 6;
 
-  /// Length of each provider block (bits of shared leading path).
-  unsigned provider_block_length = 12;
-
   /// Probability mass per prefix length. Index 0 corresponds to length
   /// `min_length`. Does not need to be normalized.
   unsigned min_length = 16;
@@ -47,13 +44,6 @@ struct TableProfile {
   /// `density_span` values of the suffix space (clipped to the space size).
   /// Smaller spans make denser subtrees.
   std::uint64_t density_span = 8192;
-
-  /// Fraction of prefixes produced by truncating an already-generated
-  /// prefix to a shorter length (BGP tables are heavily nested: the
-  /// paper's reference table has only ~1.7 k trie leaves for 3.7 k
-  /// prefixes, i.e. most prefixes cover more-specific ones). Nesting adds
-  /// prefixes without adding trie nodes.
-  double nested_fraction = 0.32;
 
   /// Number of distinct next hops (ports) to assign round-robin-randomly.
   NextHop next_hop_count = 16;

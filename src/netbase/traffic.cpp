@@ -226,16 +226,4 @@ std::vector<TimedPacket> TrafficGenerator::generate(
   return trace;
 }
 
-std::vector<double> TrafficGenerator::measured_shares(
-    const std::vector<TimedPacket>& trace, std::size_t vn_count) {
-  std::vector<double> shares(vn_count, 0.0);
-  if (trace.empty()) return shares;
-  for (const TimedPacket& tp : trace) {
-    VR_REQUIRE(tp.packet.vnid < vn_count, "trace references unknown VN");
-    shares[tp.packet.vnid] += 1.0;
-  }
-  for (double& s : shares) s /= static_cast<double>(trace.size());
-  return shares;
-}
-
 }  // namespace vr::net

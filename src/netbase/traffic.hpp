@@ -128,11 +128,6 @@ class TrafficGenerator {
     return tables_.size();
   }
 
-  /// Measured share of packets per VN in a trace (for tests: converges to
-  /// the normalized vn_weights).
-  static std::vector<double> measured_shares(
-      const std::vector<TimedPacket>& trace, std::size_t vn_count);
-
  private:
   TrafficConfig config_;
   std::vector<const RoutingTable*> tables_;

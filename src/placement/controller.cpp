@@ -26,7 +26,7 @@ PlacementController::PlacementController(CostOracle* oracle,
                                          obs::Registry* registry)
     : oracle_(oracle),
       config_(config),
-      policy_(make_policy(config.policy, config.exp_params)),
+      policy_(make_policy(config.policy)),
       fleet_(config.fleet_size),
       device_w_(config.fleet_size, 0.0) {
   VR_REQUIRE(oracle_ != nullptr, "placement controller needs a cost oracle");

@@ -28,7 +28,6 @@ namespace vr::placement {
 struct ControllerConfig {
   PolicyKind policy = PolicyKind::kBestFitWatts;
   std::size_t fleet_size = 100;
-  ExpCostParams exp_params;
   /// Re-home lone VNs stranded by departures when it saves power.
   bool consolidate = true;
   /// Record a PlacementRecord per request (tests; off for benches).

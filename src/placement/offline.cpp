@@ -22,7 +22,7 @@ constexpr DeviceMode kAllModes[] = {DeviceMode::kDedicated,
 double ideal_share_w(const PlacedVn& vn, CostOracle& oracle) {
   double best_w = std::numeric_limits<double>::infinity();
   for (const DeviceMode mode : kAllModes) {
-    for (std::uint32_t k = 1; k <= oracle.config().max_vns_per_device; ++k) {
+    for (std::uint32_t k = 1; k <= kMaxVnsPerDevice; ++k) {
       DeviceShape shape;
       shape.mode = mode;
       shape.vn_count = k;

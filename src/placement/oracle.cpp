@@ -6,20 +6,16 @@
 
 namespace vr::placement {
 
+static_assert(std::is_sorted(kBucketPrefixCounts.begin(),
+                             kBucketPrefixCounts.end()) &&
+                  kBucketPrefixCounts.front() >= 1,
+              "bucket prefix counts must be positive and ascending");
+
 CostOracle::CostOracle(fpga::DeviceSpec device, Config config)
-    : config_(std::move(config)), estimator_(std::move(device)) {
-  VR_REQUIRE(!config_.bucket_prefix_counts.empty(),
-             "cost oracle needs at least one table-size bucket");
-  VR_REQUIRE(std::is_sorted(config_.bucket_prefix_counts.begin(),
-                            config_.bucket_prefix_counts.end()) &&
-                 config_.bucket_prefix_counts.front() >= 1,
-             "bucket prefix counts must be positive and ascending");
-  VR_REQUIRE(config_.max_vns_per_device >= 1,
-             "co-location cap must be at least 1");
-}
+    : config_(std::move(config)), estimator_(std::move(device)) {}
 
 std::uint32_t CostOracle::bucket_for(std::size_t prefix_count) const {
-  const auto& buckets = config_.bucket_prefix_counts;
+  const auto& buckets = kBucketPrefixCounts;
   const auto it =
       std::lower_bound(buckets.begin(), buckets.end(), prefix_count);
   if (it == buckets.end()) {
@@ -37,8 +33,7 @@ core::Scenario CostOracle::scenario_for(const DeviceShape& shape) const {
   scenario.stages = config_.stages;
   scenario.alpha = config_.alpha;
   scenario.seed = config_.table_seed;
-  scenario.table_profile.prefix_count =
-      config_.bucket_prefix_counts[shape.max_bucket];
+  scenario.table_profile.prefix_count = kBucketPrefixCounts[shape.max_bucket];
   // Hosted VNs are priced at the device's largest bucket (Assumption 2 —
   // all VNs equal — applied per device as a conservative envelope), with
   // the aggregate load split uniformly. The scheme estimators only read
@@ -51,7 +46,7 @@ core::Scenario CostOracle::scenario_for(const DeviceShape& shape) const {
 
 const core::Estimate& CostOracle::estimate(const DeviceShape& shape) {
   VR_REQUIRE(!shape.idle(), "cannot estimate an idle device shape");
-  VR_REQUIRE(shape.max_bucket < config_.bucket_prefix_counts.size(),
+  VR_REQUIRE(shape.max_bucket < kBucketPrefixCounts.size(),
              "device shape references an unknown table bucket");
   // The estimate does not depend on the SLA floor; normalizing it here
   // collapses all floors of one physical shape onto a single memo entry.
@@ -72,7 +67,7 @@ double CostOracle::watts(const DeviceShape& shape) {
 
 bool CostOracle::feasible(const DeviceShape& shape) {
   if (shape.idle()) return false;
-  if (shape.vn_count > config_.max_vns_per_device) return false;
+  if (shape.vn_count > kMaxVnsPerDevice) return false;
   if (shape.mode == DeviceMode::kDedicated && shape.vn_count != 1) {
     return false;
   }
@@ -111,7 +106,7 @@ double CostOracle::congestion(const DeviceShape& shape) {
       static_cast<double>(est.resources.bram_per_device.total.halves()) /
       device_halves;
   const double slot_frac = static_cast<double>(shape.vn_count) /
-                           static_cast<double>(config_.max_vns_per_device);
+                           static_cast<double>(kMaxVnsPerDevice);
   double load = std::max(bram_frac, slot_frac);
   if (shape.mode == DeviceMode::kTimeShared) {
     load = std::max(load, shape.mu_total());

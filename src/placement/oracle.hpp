@@ -19,6 +19,7 @@
 // out stay valid because its nodes never move.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <unordered_map>
@@ -61,13 +62,22 @@ enum class DeviceMode : std::uint8_t {
   return power::Scheme::kNonVirtualized;
 }
 
+/// Co-location cap per device (keeps the candidate space and the
+/// merged-trie growth bounded; VS also self-limits via I/O pins).
+inline constexpr std::uint32_t kMaxVnsPerDevice = 8;
+/// Table-size quantization: a request is charged the smallest bucket
+/// that covers its prefix count (requests above the largest bucket
+/// are clamped to it and priced as full-size tables).
+inline constexpr std::array<std::size_t, 4> kBucketPrefixCounts = {
+    600, 1200, 2400, 4800};
+
 /// The quantized state of one device — the oracle's memoization key and
 /// the fleet's grouping key. sla_floor (the strictest SLA hosted) affects
 /// feasibility but not the power estimate, so the estimate memo ignores it.
 struct DeviceShape {
   DeviceMode mode = DeviceMode::kDedicated;
   std::uint32_t vn_count = 0;
-  std::uint32_t max_bucket = 0;   ///< index into bucket_prefix_counts
+  std::uint32_t max_bucket = 0;   ///< index into kBucketPrefixCounts
   std::uint32_t mu_total_q = 0;   ///< Σµ over hosted VNs, in 1/kMuQuantum
   SlaClass sla_floor = SlaClass::kBronze;
 
@@ -93,13 +103,6 @@ struct OracleConfig {
   std::size_t stages = 28;
   double alpha = 0.8;  ///< merging efficiency of time-shared devices
   std::uint64_t table_seed = 1;
-  /// Co-location cap per device (keeps the candidate space and the
-  /// merged-trie growth bounded; VS also self-limits via I/O pins).
-  std::uint32_t max_vns_per_device = 8;
-  /// Table-size quantization: a request is charged the smallest bucket
-  /// that covers its prefix count (requests above the largest bucket
-  /// are clamped to it and priced as full-size tables).
-  std::vector<std::size_t> bucket_prefix_counts = {600, 1200, 2400, 4800};
   SlaPolicy sla;
 };
 

@@ -121,14 +121,16 @@ class BestFitWattsPolicy final : public PlacementPolicy {
   }
 };
 
+// Tuning of the exponential-cost policy.
+/// Virtual cost is kExpCostBase^congestion.
+constexpr double kExpCostBase = 32.0;
+/// Admission bar: marginal virtual cost must stay ≤ threshold × benefit.
+constexpr double kAdmissionThreshold = 2.0;
+/// SLA-class benefits (bronze, silver, gold).
+constexpr double kSlaBenefit[3] = {1.0, 2.0, 4.0};
+
 class ExpCostPolicy final : public PlacementPolicy {
  public:
-  explicit ExpCostPolicy(ExpCostParams params) : params_(params) {
-    VR_REQUIRE(params_.base > 1.0, "exp-cost base must exceed 1");
-    VR_REQUIRE(params_.admission_threshold > 0.0,
-               "exp-cost admission threshold must be positive");
-  }
-
   Decision decide(const Fleet& fleet, CostOracle& oracle, const PlacedVn& vn,
                   std::optional<std::size_t> exclude) override {
     const std::vector<Candidate> candidates =
@@ -140,18 +142,17 @@ class ExpCostPolicy final : public PlacementPolicy {
     double best_delta = std::numeric_limits<double>::infinity();
     for (const Candidate& c : candidates) {
       const double before_cost =
-          std::pow(params_.base, oracle.congestion(c.before));
+          std::pow(kExpCostBase, oracle.congestion(c.before));
       const double after_cost =
-          std::pow(params_.base, oracle.congestion(c.after));
+          std::pow(kExpCostBase, oracle.congestion(c.after));
       const double delta = after_cost - before_cost;
       if (delta < best_delta) {
         best = &c;
         best_delta = delta;
       }
     }
-    const double benefit =
-        params_.benefit[static_cast<std::size_t>(vn.sla)];
-    if (best_delta > params_.admission_threshold * benefit) {
+    const double benefit = kSlaBenefit[static_cast<std::size_t>(vn.sla)];
+    if (best_delta > kAdmissionThreshold * benefit) {
       // Admission control: the fleet is congested enough that hosting
       // this request would crowd out higher-benefit tenants.
       return decision;
@@ -165,22 +166,18 @@ class ExpCostPolicy final : public PlacementPolicy {
   [[nodiscard]] PolicyKind kind() const noexcept override {
     return PolicyKind::kExpCost;
   }
-
- private:
-  ExpCostParams params_;
 };
 
 }  // namespace
 
-std::unique_ptr<PlacementPolicy> make_policy(PolicyKind kind,
-                                             ExpCostParams exp_params) {
+std::unique_ptr<PlacementPolicy> make_policy(PolicyKind kind) {
   switch (kind) {
     case PolicyKind::kFirstFit:
       return std::make_unique<FirstFitPolicy>();
     case PolicyKind::kBestFitWatts:
       return std::make_unique<BestFitWattsPolicy>();
     case PolicyKind::kExpCost:
-      return std::make_unique<ExpCostPolicy>(exp_params);
+      return std::make_unique<ExpCostPolicy>();
   }
   VR_REQUIRE(false, "unknown placement policy kind");
   return nullptr;

@@ -79,16 +79,6 @@ class PlacementPolicy {
   [[nodiscard]] virtual PolicyKind kind() const noexcept = 0;
 };
 
-/// Tuning of the exponential-cost policy.
-struct ExpCostParams {
-  double base = 32.0;  ///< virtual cost is base^congestion
-  /// Admission bar: marginal virtual cost must stay ≤ threshold × benefit.
-  double admission_threshold = 2.0;
-  /// SLA-class benefits (bronze, silver, gold).
-  double benefit[3] = {1.0, 2.0, 4.0};
-};
-
-[[nodiscard]] std::unique_ptr<PlacementPolicy> make_policy(
-    PolicyKind kind, ExpCostParams exp_params = {});
+[[nodiscard]] std::unique_ptr<PlacementPolicy> make_policy(PolicyKind kind);
 
 }  // namespace vr::placement

@@ -1,25 +1,17 @@
 #include "placement/request.hpp"
 
-#include "common/error.hpp"
-
 namespace vr::placement {
+
+/// Number of table-size classes (see kBasePrefixCount).
+constexpr std::size_t kSizeClasses = 4;
 
 RequestStream::RequestStream(RequestStreamConfig config)
     : config_(config), rng_(SplitMix64(config.seed ^ 0x9e3779b97f4a7c15ULL)
                                 .next()) {
-  VR_REQUIRE(config_.size_classes >= 1 && config_.size_classes <= 16,
-             "request stream needs between 1 and 16 size classes");
-  VR_REQUIRE(config_.base_prefix_count >= 1,
-             "base prefix count must be positive");
-  VR_REQUIRE(config_.mu_levels >= 1 && config_.mu_levels <= kMuQuantum,
-             "mu_levels must be in [1, kMuQuantum]");
-  VR_REQUIRE(config_.gold_fraction >= 0.0 && config_.silver_fraction >= 0.0 &&
-                 config_.gold_fraction + config_.silver_fraction <= 1.0,
-             "SLA fractions must be non-negative and sum to at most 1");
-  size_weights_.reserve(config_.size_classes);
-  for (std::size_t c = 0; c < config_.size_classes; ++c) {
+  size_weights_.reserve(kSizeClasses);
+  for (std::size_t c = 0; c < kSizeClasses; ++c) {
     size_weights_.push_back(static_cast<double>(
-        std::uint64_t{1} << (config_.size_classes - 1 - c)));
+        std::uint64_t{1} << (kSizeClasses - 1 - c)));
   }
 }
 
@@ -31,18 +23,17 @@ VnRequest RequestStream::next() {
 
   const std::size_t size_class =
       rng_.next_weighted(size_weights_.data(), size_weights_.size());
-  const std::size_t base = config_.base_prefix_count << size_class;
+  const std::size_t base = kBasePrefixCount << size_class;
   // Jitter keeps prefix counts off the oracle's bucket boundaries, so the
   // bucket_for rounding path is exercised on every request.
   request.prefix_count = base + rng_.next_below(base / 2 + 1);
 
-  request.mu_q = static_cast<std::uint32_t>(
-      rng_.next_in(1, config_.mu_levels));
+  request.mu_q = static_cast<std::uint32_t>(rng_.next_in(1, kMuLevels));
 
   const double sla_draw = rng_.next_double();
-  if (sla_draw < config_.gold_fraction) {
+  if (sla_draw < kGoldFraction) {
     request.sla = SlaClass::kGold;
-  } else if (sla_draw < config_.gold_fraction + config_.silver_fraction) {
+  } else if (sla_draw < kGoldFraction + kSilverFraction) {
     request.sla = SlaClass::kSilver;
   } else {
     request.sla = SlaClass::kBronze;

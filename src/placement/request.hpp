@@ -52,17 +52,20 @@ struct VnRequest {
   }
 };
 
+/// Table-size classes: class c draws prefix counts around
+/// kBasePrefixCount * 2^c, with small classes geometrically more
+/// common (weight 2^(classes-1-c)) — edge tenants dominate.
+inline constexpr std::size_t kBasePrefixCount = 400;
+/// Offered load µ is uniform over {1, ..., kMuLevels}/kMuQuantum.
+inline constexpr std::uint32_t kMuLevels = 12;
+static_assert(kMuLevels >= 1 && kMuLevels <= kMuQuantum,
+              "kMuLevels must be in [1, kMuQuantum]");
+/// Shares of gold and silver requests; the rest are bronze.
+inline constexpr double kGoldFraction = 0.10;
+inline constexpr double kSilverFraction = 0.30;
+
 struct RequestStreamConfig {
   std::uint64_t seed = 1;
-  /// Table-size classes: class c draws prefix counts around
-  /// base_prefix_count * 2^c, with small classes geometrically more
-  /// common (weight 2^(classes-1-c)) — edge tenants dominate.
-  std::size_t size_classes = 4;
-  std::size_t base_prefix_count = 400;
-  /// Offered load µ is uniform over {1, ..., mu_levels}/kMuQuantum.
-  std::uint32_t mu_levels = 12;
-  double gold_fraction = 0.10;
-  double silver_fraction = 0.30;
   /// Mean VN lifetime in ticks (uniform over [1, 2*mean]); 0 = VNs are
   /// permanent and the run is pure accumulation.
   std::uint64_t mean_holding_ticks = 0;

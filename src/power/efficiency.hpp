@@ -3,8 +3,6 @@
 #pragma once
 
 #include "common/units.hpp"
-#include "power/analytical_model.hpp"
-#include "power/scheme.hpp"
 
 namespace vr::power {
 
@@ -15,14 +13,6 @@ namespace vr::power {
   return throughput <= units::Gbps{0.0}
              ? units::MwPerGbps{0.0}
              : units::to_milliwatts(power) / throughput;
-}
-
-/// Efficiency of a scheme's estimate at its operating clock.
-[[nodiscard]] inline units::MwPerGbps scheme_efficiency_mw_per_gbps(
-    Scheme scheme, std::size_t vn_count, const PowerBreakdown& power) noexcept {
-  return mw_per_gbps(power.total_w(),
-                     aggregate_throughput_gbps(scheme, vn_count,
-                                               power.freq_mhz));
 }
 
 }  // namespace vr::power

@@ -28,10 +28,6 @@ struct SchemeResources {
   std::uint32_t io_pins = 0;        ///< on the most loaded device
   fpga::StageBramPlan bram_per_device;  ///< plan of one (the) shared device;
                                         ///< for NV this is one device's plan
-
-  [[nodiscard]] units::Bits total_memory_bits() const noexcept {
-    return pointer_bits + nhi_bits;
-  }
 };
 
 /// Fit report against a device.

@@ -7,14 +7,20 @@
 
 namespace vr::power {
 
+/// Write rate already folded into the Table III coefficients.
+constexpr double kBaselineWriteRate = 0.01;
+/// Fractional BRAM power change per unit of write-rate change (a
+/// dimensionless sensitivity, not a power). XPE-style BRAM write energy
+/// is of the same order as read energy; 0.30 means a write-saturated
+/// memory (rate 1.0) burns 30 % more than the Table III value.
+constexpr double kWritePowerSensitivity = 0.30;  // units-ok: dimensionless
+
 units::Watts adjusted_bram_power_w(units::Watts table3_power,
-                                   double write_rate,
-                                   const UpdateRateModel& model) {
+                                   double write_rate) {
   VR_REQUIRE(write_rate >= 0.0 && write_rate <= 1.0,
              "write rate must be in [0,1]");
   return table3_power *
-         (1.0 + model.write_power_sensitivity *
-                    (write_rate - model.baseline_write_rate));
+         (1.0 + kWritePowerSensitivity * (write_rate - kBaselineWriteRate));
 }
 
 units::Gbps effective_lookup_gbps(units::Megahertz freq,

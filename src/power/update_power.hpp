@@ -15,16 +15,6 @@
 
 namespace vr::power {
 
-struct UpdateRateModel {
-  /// Write rate already folded into the Table III coefficients.
-  double baseline_write_rate = 0.01;
-  /// Fractional BRAM power change per unit of write-rate change (a
-  /// dimensionless sensitivity, not a power). XPE-style BRAM write energy
-  /// is of the same order as read energy; 0.30 means a write-saturated
-  /// memory (rate 1.0) burns 30 % more than the Table III value.
-  double write_power_sensitivity = 0.30;  // units-ok: dimensionless ratio
-};
-
 /// Steady-state write statistics of an update stream against a deployment.
 struct UpdateLoad {
   double updates_per_second = 0.0;
@@ -47,9 +37,8 @@ struct UpdateLoad {
 
 /// BRAM power adjusted from the Table III baseline to an actual write
 /// rate: P' = P * (1 + sensitivity * (rate - baseline)).
-[[nodiscard]] units::Watts adjusted_bram_power_w(
-    units::Watts table3_power, double write_rate,
-    const UpdateRateModel& model = {});
+[[nodiscard]] units::Watts adjusted_bram_power_w(units::Watts table3_power,
+                                                 double write_rate);
 
 /// Effective lookup capacity after update writes steal issue slots:
 /// capacity = (1 - write_slot_fraction) * line_rate.

@@ -6,14 +6,6 @@
 
 namespace vr::power {
 
-std::vector<double> uniform_utilization(std::size_t vn_count,
-                                        double total_load) {
-  VR_REQUIRE(vn_count >= 1, "need at least one VN");
-  VR_REQUIRE(total_load >= 0.0, "total load must be non-negative");
-  return std::vector<double>(vn_count,
-                             total_load / static_cast<double>(vn_count));
-}
-
 std::vector<double> zipf_utilization(std::size_t vn_count, double skew,
                                      double total_load) {
   VR_REQUIRE(vn_count >= 1, "need at least one VN");
@@ -26,13 +18,6 @@ std::vector<double> zipf_utilization(std::size_t vn_count, double skew,
   }
   for (double& m : mu) m *= total_load / total;
   return mu;
-}
-
-std::vector<double> duty_cycled_utilization(std::size_t vn_count, double peak,
-                                            double duty) {
-  VR_REQUIRE(peak >= 0.0 && peak <= 1.0, "peak must be in [0,1]");
-  VR_REQUIRE(duty >= 0.0 && duty <= 1.0, "duty must be in [0,1]");
-  return std::vector<double>(vn_count, peak * duty);
 }
 
 }  // namespace vr::power

@@ -12,20 +12,10 @@
 
 namespace vr::power {
 
-/// Uniform µ_i = total_load / K (Assumption 1 at total_load = 1).
-[[nodiscard]] std::vector<double> uniform_utilization(std::size_t vn_count,
-                                                      double total_load = 1.0);
-
 /// Zipf-skewed shares: µ_i ∝ 1/(i+1)^s, normalized to total_load. s = 0
 /// degenerates to uniform; s ≈ 1 models a dominant tenant.
 [[nodiscard]] std::vector<double> zipf_utilization(std::size_t vn_count,
                                                    double skew,
                                                    double total_load = 1.0);
-
-/// Duty-cycled utilization: every VN offers `peak` during its on-fraction
-/// `duty` and nothing otherwise, averaging to peak*duty (the edge-network
-/// low-duty behaviour of Sec. I).
-[[nodiscard]] std::vector<double> duty_cycled_utilization(
-    std::size_t vn_count, double peak, double duty);
 
 }  // namespace vr::power

@@ -75,13 +75,6 @@ class PartitionedTcam {
   [[nodiscard]] std::size_t entries_triggered_per_search() const noexcept;
   /// Mean bank size (average-case activation).
   [[nodiscard]] double mean_bank_size() const noexcept;
-  /// Replicated-entry overhead vs the original table: entry_count/original.
-  [[nodiscard]] double replication_factor(std::size_t original) const
-      noexcept {
-    return original == 0 ? 1.0
-                         : static_cast<double>(entry_count()) /
-                               static_cast<double>(original);
-  }
   [[nodiscard]] const std::vector<TcamEntry>& bank(std::size_t b) const {
     return banks_[b];
   }

@@ -1,5 +1,7 @@
 #include "trie/trie_stats.hpp"
 
+#include <algorithm>
+
 namespace vr::trie {
 
 TrieStats compute_stats(const UnibitTrie& trie) {
@@ -24,6 +26,15 @@ TrieStats compute_stats(const UnibitTrie& trie) {
     stats.leaf_nodes += stats.leaves_per_level[l];
   }
   return stats;
+}
+
+double alpha_from_counts(std::size_t vn_count, double sum_input_nodes,
+                         double merged_nodes) noexcept {
+  if (vn_count <= 1) return 1.0;
+  if (merged_nodes <= 0.0) return 0.0;
+  const double alpha = (sum_input_nodes / merged_nodes - 1.0) /
+                       static_cast<double>(vn_count - 1);
+  return std::clamp(alpha, 0.0, 1.0);
 }
 
 }  // namespace vr::trie

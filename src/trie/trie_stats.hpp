@@ -19,17 +19,18 @@ struct TrieStats {
   std::vector<std::size_t> nodes_per_level;
   std::vector<std::size_t> internal_per_level;
   std::vector<std::size_t> leaves_per_level;
-
-  /// total_nodes / prefix_count given the source table size.
-  [[nodiscard]] double nodes_per_prefix(std::size_t prefix_count) const {
-    return prefix_count == 0
-               ? 0.0
-               : static_cast<double>(total_nodes) /
-                     static_cast<double>(prefix_count);
-  }
 };
 
 /// Computes statistics in one pass over the (level-ordered) node array.
 [[nodiscard]] TrieStats compute_stats(const UnibitTrie& trie);
+
+/// Effective merging efficiency: the α that makes the analytical merged
+/// node count T = K·n / (1 + (K−1)·α) (DESIGN.md Sec. 3) reproduce a
+/// measured merge of K tries totalling `sum_input_nodes` nodes into
+/// `merged_nodes`: clamp((Σn/T − 1)/(K − 1), 0, 1). K <= 1 gives 1 and an
+/// empty merge gives 0.
+[[nodiscard]] double alpha_from_counts(std::size_t vn_count,
+                                       double sum_input_nodes,
+                                       double merged_nodes) noexcept;
 
 }  // namespace vr::trie

@@ -1,7 +1,5 @@
 #include "trie/unibit_trie.hpp"
 
-#include <algorithm>
-
 #include "common/bitops.hpp"
 #include "common/error.hpp"
 
@@ -114,7 +112,6 @@ UnibitTrie UnibitTrie::leaf_pushed() const {
     stack.push_back(Frame{src.right, right_dst, effective});
   }
   pushed.canonicalize();
-  pushed.leaf_pushed_ = true;
   return pushed;
 }
 
@@ -122,13 +119,6 @@ std::span<const TrieNode> UnibitTrie::level(std::size_t l) const {
   VR_REQUIRE(l < level_count(), "trie level out of range");
   return {nodes_.data() + level_offsets_[l],
           level_offsets_[l + 1] - level_offsets_[l]};
-}
-
-std::size_t UnibitTrie::level_of(NodeIndex node) const {
-  VR_REQUIRE(node < nodes_.size(), "node index out of range");
-  const auto it = std::upper_bound(level_offsets_.begin(),
-                                   level_offsets_.end(), std::size_t{node});
-  return static_cast<std::size_t>(it - level_offsets_.begin()) - 1;
 }
 
 }  // namespace vr::trie

@@ -111,8 +111,6 @@ class UnibitTrie {
   /// because pushed leaves inherit kNoRoute when there is nothing to push).
   [[nodiscard]] UnibitTrie leaf_pushed() const;
 
-  [[nodiscard]] bool is_leaf_pushed() const noexcept { return leaf_pushed_; }
-
   [[nodiscard]] std::size_t node_count() const noexcept {
     return nodes_.size();
   }
@@ -150,9 +148,6 @@ class UnibitTrie {
     return level_offsets_;
   }
 
-  /// Level of a node (O(log levels)).
-  [[nodiscard]] std::size_t level_of(NodeIndex node) const;
-
  private:
   UnibitTrie() = default;
 
@@ -162,7 +157,6 @@ class UnibitTrie {
 
   std::vector<TrieNode> nodes_;
   std::vector<std::size_t> level_offsets_;  // size level_count()+1
-  bool leaf_pushed_ = false;
 };
 
 }  // namespace vr::trie

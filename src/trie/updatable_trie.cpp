@@ -4,6 +4,7 @@
 #include <array>
 
 #include "common/error.hpp"
+#include "trie/trie_stats.hpp"
 
 namespace vr::trie {
 
@@ -201,14 +202,10 @@ std::size_t UpdatableTrie::route_count(net::VnId vn) const {
 }
 
 double UpdatableTrie::alpha_effective() const {
-  if (vn_count_ <= 1) return 1.0;
-  double sum = 0.0;
-  for (const std::size_t count : present_counts_) {
-    sum += static_cast<double>(count);
-  }
-  const double t = static_cast<double>(live_nodes_);
-  const double alpha = (sum / t - 1.0) / static_cast<double>(vn_count_ - 1);
-  return std::clamp(alpha, 0.0, 1.0);
+  std::size_t sum = 0;
+  for (const std::size_t count : present_counts_) sum += count;
+  return alpha_from_counts(vn_count_, static_cast<double>(sum),
+                           static_cast<double>(live_nodes_));
 }
 
 net::RoutingTable UpdatableTrie::table_of(net::VnId vn) const {

@@ -92,8 +92,7 @@ class UpdatableTrie {
   /// Installed route count of `vn`.
   [[nodiscard]] std::size_t route_count(net::VnId vn) const;
 
-  /// Current effective merging efficiency (same definition as
-  /// MergeStats::alpha_effective).
+  /// Current effective merging efficiency (trie::alpha_from_counts).
   [[nodiscard]] double alpha_effective() const;
 
   /// Exports `vn`'s current routes as a table (sorted).

@@ -1,21 +1,11 @@
 #include "virt/merged_trie.hpp"
 
-#include <algorithm>
 #include <deque>
 
 #include "common/bitops.hpp"
 #include "common/error.hpp"
 
 namespace vr::virt {
-
-double MergeStats::alpha_effective(std::size_t vn_count) const noexcept {
-  if (vn_count <= 1) return 1.0;
-  if (merged_nodes == 0) return 0.0;
-  const double s = static_cast<double>(sum_input_nodes);
-  const double t = static_cast<double>(merged_nodes);
-  const double alpha = (s / t - 1.0) / static_cast<double>(vn_count - 1);
-  return std::clamp(alpha, 0.0, 1.0);
-}
 
 MergedTrie::MergedTrie(std::span<const trie::UnibitTrie* const> tries)
     : vn_count_(tries.size()) {
@@ -50,14 +40,12 @@ MergedTrie::MergedTrie(std::span<const trie::UnibitTrie* const> tries)
 
       trie::NodeIndex left = trie::kNullNode;
       trie::NodeIndex right = trie::kNullNode;
-      std::size_t present = 0;
       bool any_left = false;
       bool any_right = false;
       for (std::size_t v = 0; v < vn_count_; ++v) {
         const trie::NodeIndex src = frame.srcs[v];
         hops[v] = net::kNoRoute;
         if (src != trie::kNullNode) {
-          ++present;
           const trie::TrieNode& n = tries[v]->node(src);
           hops[v] = n.next_hop;
           any_left = any_left || n.left != trie::kNullNode;
@@ -97,8 +85,6 @@ MergedTrie::MergedTrie(std::span<const trie::UnibitTrie* const> tries)
       }
       flattener.add_node(left, right, hops);
       ++merged;
-      if (present >= 2) ++stats_.shared_any;
-      if (present == vn_count_ && vn_count_ >= 2) ++stats_.shared_all;
     }
     level_offsets_.push_back(merged);
   }

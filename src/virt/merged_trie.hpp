@@ -22,22 +22,16 @@ namespace vr::virt {
 struct MergeStats {
   std::size_t merged_nodes = 0;
   std::size_t sum_input_nodes = 0;   ///< Σ_k n_k over the K input tries
-  std::size_t shared_any = 0;        ///< nodes present in >= 2 tries
-  std::size_t shared_all = 0;        ///< nodes present in all K tries
-
-  /// Structural overlap per the paper's Assumption 4 ("common nodes /
-  /// total nodes"), with "common" = present in at least two tries.
-  [[nodiscard]] double alpha_structural() const noexcept {
-    return merged_nodes == 0 ? 0.0
-                             : static_cast<double>(shared_any) /
-                                   static_cast<double>(merged_nodes);
-  }
 
   /// Effective merging efficiency: the α that makes the analytical merged
   /// node-count formula T = Σn / (1 + (K-1)α) · K/K (DESIGN.md Sec. 3)
   /// reproduce the measured merged node count exactly. For K == 1 this is
   /// defined as 1.
-  [[nodiscard]] double alpha_effective(std::size_t vn_count) const noexcept;
+  [[nodiscard]] double alpha_effective(std::size_t vn_count) const noexcept {
+    return trie::alpha_from_counts(vn_count,
+                                   static_cast<double>(sum_input_nodes),
+                                   static_cast<double>(merged_nodes));
+  }
 };
 
 /// The merged trie, stored as its stride-1 lookup image: nodes are numbered

@@ -1,6 +1,5 @@
 #include "virt/overlap_model.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -14,16 +13,6 @@ double merged_node_count(std::size_t vn_count, double nodes_per_trie,
   VR_REQUIRE(nodes_per_trie >= 0.0, "node count must be non-negative");
   const auto k = static_cast<double>(vn_count);
   return k * nodes_per_trie / (1.0 + (k - 1.0) * alpha);
-}
-
-double alpha_from_counts(std::size_t vn_count, double sum_input_nodes,
-                         double merged_nodes) {
-  VR_REQUIRE(vn_count >= 1, "vn_count must be >= 1");
-  if (vn_count == 1) return 1.0;
-  VR_REQUIRE(merged_nodes > 0.0, "merged node count must be positive");
-  const double alpha = (sum_input_nodes / merged_nodes - 1.0) /
-                       static_cast<double>(vn_count - 1);
-  return std::clamp(alpha, 0.0, 1.0);
 }
 
 trie::StageMemory predict_merged_stage_memory(
@@ -74,13 +63,6 @@ trie::StageMemory predict_merged_stage_memory(
     }
   }
   return memory;
-}
-
-trie::StageMemory predict_separate_stage_memory(
-    const trie::TrieStats& representative, const trie::StageMapping& mapping,
-    const trie::NodeEncoding& encoding) {
-  const auto occ = trie::occupancy(representative, mapping);
-  return trie::stage_memory(occ, encoding, 1);
 }
 
 }  // namespace vr::virt

@@ -30,12 +30,6 @@ enum class MergedMemoryRule {
 [[nodiscard]] double merged_node_count(std::size_t vn_count,
                                        double nodes_per_trie, double alpha);
 
-/// Inverse: the α that yields `merged_nodes` for K tries totalling
-/// `sum_input_nodes` nodes. Clamped to [0,1]; K=1 returns 1.
-[[nodiscard]] double alpha_from_counts(std::size_t vn_count,
-                                       double sum_input_nodes,
-                                       double merged_nodes);
-
 /// Predicts the per-stage memory of the merged trie analytically from the
 /// statistics of ONE representative per-VN trie (Assumption 2: all tables
 /// equal size): every level's internal/leaf counts are scaled by the merged
@@ -46,13 +40,5 @@ enum class MergedMemoryRule {
     const trie::TrieStats& representative, const trie::StageMapping& mapping,
     const trie::NodeEncoding& encoding, std::size_t vn_count, double alpha,
     MergedMemoryRule rule = MergedMemoryRule::kOverlapConsistent);
-
-/// Aggregated per-stage memory of K independent pipelines (the separate and
-/// non-virtualized schemes): stage s holds the VN's own nodes only; the
-/// returned vector is for ONE pipeline — callers multiply by K or keep
-/// per-VN copies. Provided for symmetry/clarity.
-[[nodiscard]] trie::StageMemory predict_separate_stage_memory(
-    const trie::TrieStats& representative, const trie::StageMapping& mapping,
-    const trie::NodeEncoding& encoding);
 
 }  // namespace vr::virt

@@ -9,6 +9,9 @@
 
 namespace vr::virt {
 
+/// Bisection iteration cap of generate_with_alpha.
+constexpr unsigned kMaxBisectionSteps = 12;
+
 CorrelatedTableSetGenerator::CorrelatedTableSetGenerator(TableSetConfig config)
     : config_(std::move(config)), base_gen_(config_.profile) {
   VR_REQUIRE(config_.alpha_tolerance > 0.0, "alpha_tolerance must be > 0");
@@ -96,7 +99,7 @@ TableSet CorrelatedTableSetGenerator::generate_with_alpha(
   double hi = 1.0;  // mutation 1 -> α near its floor (independent tables)
   std::optional<TableSet> best;
   double best_gap = std::numeric_limits<double>::infinity();
-  for (unsigned step = 0; step < config_.max_bisection_steps; ++step) {
+  for (unsigned step = 0; step < kMaxBisectionSteps; ++step) {
     const double mid = (lo + hi) / 2.0;
     TableSet candidate = generate(vn_count, mid, seed);
     const double measured = candidate.measured_alpha;

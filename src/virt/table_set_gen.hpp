@@ -32,8 +32,6 @@ struct TableSetConfig {
   net::TableProfile profile = net::TableProfile::edge_default();
   /// Tolerance on |measured α − target α| for generate_with_alpha.
   double alpha_tolerance = 0.03;
-  /// Bisection iteration cap.
-  unsigned max_bisection_steps = 12;
   /// Whether α is measured on leaf-pushed tries (the deployed form) or the
   /// raw tries.
   bool leaf_push = true;

@@ -283,8 +283,9 @@ TEST_F(ValidatorTest, ErrorWithinPaperBound) {
       grid.push_back(vm);
     }
   }
-  const auto points = validator_.validate_all(grid);
-  EXPECT_LE(ModelValidator::max_abs_error_pct(points), 3.0);
+  for (const ValidationPoint& p : validator_.validate_all(grid)) {
+    EXPECT_LE(std::fabs(p.error_total_pct), 3.0);
+  }
 }
 
 TEST_F(ValidatorTest, ErrorSignsAndComponents) {

@@ -83,22 +83,10 @@ TEST(DistRamTest, ChoicePowerIsTheMinimum) {
 
 // --------------------------------------------------------- utilization --
 
-TEST(UtilizationTest, UniformSharesSumToLoad) {
-  const auto mu = power::uniform_utilization(8, 0.75);
-  double sum = 0.0;
-  for (const double m : mu) {
-    EXPECT_DOUBLE_EQ(m, 0.75 / 8.0);
-    sum += m;
-  }
-  EXPECT_NEAR(sum, 0.75, 1e-12);
-}
-
 TEST(UtilizationTest, ZipfZeroSkewIsUniform) {
   const auto zipf = power::zipf_utilization(6, 0.0);
-  const auto uniform = power::uniform_utilization(6);
-  for (std::size_t i = 0; i < 6; ++i) {
-    EXPECT_NEAR(zipf[i], uniform[i], 1e-12);
-  }
+  ASSERT_EQ(zipf.size(), 6u);
+  for (const double mu : zipf) EXPECT_NEAR(mu, 1.0 / 6.0, 1e-12);
 }
 
 TEST(UtilizationTest, ZipfSkewConcentratesOnFirstVn) {
@@ -113,15 +101,9 @@ TEST(UtilizationTest, ZipfSkewConcentratesOnFirstVn) {
   EXPECT_GT(mu[0], 0.3);  // harmonic(10) ~ 2.93 -> first share ~0.34
 }
 
-TEST(UtilizationTest, DutyCycled) {
-  const auto mu = power::duty_cycled_utilization(4, 0.8, 0.25);
-  for (const double m : mu) EXPECT_DOUBLE_EQ(m, 0.2);
-}
-
 TEST(UtilizationTest, RejectsBadInputs) {
-  EXPECT_DEATH((void)power::uniform_utilization(0), "at least one");
+  EXPECT_DEATH((void)power::zipf_utilization(0, 1.0), "at least one");
   EXPECT_DEATH((void)power::zipf_utilization(4, -1.0), "skew");
-  EXPECT_DEATH((void)power::duty_cycled_utilization(4, 2.0, 0.5), "peak");
 }
 
 // --------------------------------------------------------- device catalog --

@@ -142,7 +142,10 @@ TEST(BramTest, AllocationCapacityCoversRequest) {
   for (const auto policy :
        {BramPolicy::k18Only, BramPolicy::k36Only, BramPolicy::kMixed}) {
     for (std::uint64_t bits = 1; bits < 300000; bits += 7919) {
-      EXPECT_GE(allocate_bram(bits, policy).capacity_bits(), bits);
+      const BramAllocation alloc = allocate_bram(bits, policy);
+      EXPECT_GE(alloc.blocks18 * bram_capacity_bits(BramKind::k18) +
+                    alloc.blocks36 * bram_capacity_bits(BramKind::k36),
+                bits);
     }
   }
 }
@@ -177,7 +180,6 @@ TEST(BramTest, PlanAggregates) {
                                      plan.per_stage[2].halves());
   EXPECT_DOUBLE_EQ(plan.max_stage_blocks36eq,
                    plan.per_stage[2].blocks36_equivalent());
-  EXPECT_GT(plan.mean_stage_blocks36eq(), 0.0);
 }
 
 TEST(BramTest, DeviceHalves) {

@@ -111,17 +111,7 @@ TEST(PartitionTest, IndexBitsAccountPipelineIdPointerNhi) {
   config.split_level = 6;
   config.pipeline_count = 4;  // 2 id bits
   const PartitionedTrie partition(trie, config);
-  EXPECT_EQ(partition.index_entries(), 64u);
   EXPECT_EQ(partition.index_bits(), 64u * (2u + 18u + 8u));
-}
-
-TEST(PartitionTest, DeepSplitYieldsIndexOnlyHits) {
-  const UnibitTrie trie = make_trie(5, 300);
-  PartitionConfig config;
-  config.split_level = 16;  // deeper than many paths
-  config.pipeline_count = 2;
-  const PartitionedTrie partition(trie, config);
-  EXPECT_GT(partition.index_only_fraction(), 0.0);
 }
 
 TEST(PartitionTest, RejectsBadConfig) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <set>
-#include <sstream>
 
 #include "common/rng.hpp"
 #include "netbase/ipv4.hpp"
@@ -145,51 +144,12 @@ TEST(RoutingTableTest, ConstructorDeduplicatesLastWins) {
   EXPECT_EQ(t.lookup(Ipv4(10, 0, 0, 1)), 2);
 }
 
-TEST(RoutingTableTest, ParseSkipsCommentsAndBlanks) {
-  const RoutingTable t = RoutingTable::parse_text(
-      "# edge table\n"
-      "\n"
-      "10.0.0.0/8 3\n"
-      "   \n"
-      "192.168.0.0/16 7\n");
-  EXPECT_EQ(t.size(), 2u);
-  EXPECT_EQ(t.lookup(Ipv4(192, 168, 1, 1)), 7);
-}
-
-TEST(RoutingTableTest, ParseReportsLineNumbers) {
-  try {
-    RoutingTable::parse_text("10.0.0.0/8 1\nbogus line here\n");
-    FAIL() << "expected ParseError";
-  } catch (const ParseError& e) {
-    EXPECT_EQ(e.line(), 2u);
-  }
-}
-
-TEST(RoutingTableTest, ParseRejectsBadNextHop) {
-  EXPECT_THROW(RoutingTable::parse_text("10.0.0.0/8 -1\n"), ParseError);
-  EXPECT_THROW(RoutingTable::parse_text("10.0.0.0/8 65535\n"), ParseError);
-  EXPECT_THROW(RoutingTable::parse_text("10.0.0.0/8 1 junk\n"), ParseError);
-  EXPECT_THROW(RoutingTable::parse_text("10.0.0.0/8\n"), ParseError);
-}
-
-TEST(RoutingTableTest, SerializeParseRoundTrip) {
+TEST(RoutingTableTest, MaxPrefixLength) {
   RoutingTable t;
-  t.add(*Prefix::parse("10.0.0.0/8"), 1);
-  t.add(*Prefix::parse("172.16.0.0/12"), 2);
-  std::ostringstream os;
-  t.serialize(os);
-  const RoutingTable back = RoutingTable::parse_text(os.str());
-  EXPECT_EQ(back, t);
-}
-
-TEST(RoutingTableTest, LengthHistogram) {
-  RoutingTable t;
+  EXPECT_EQ(t.max_prefix_length(), 0u);
   t.add(*Prefix::parse("10.0.0.0/8"), 1);
   t.add(*Prefix::parse("11.0.0.0/8"), 1);
   t.add(*Prefix::parse("10.1.0.0/16"), 2);
-  const auto hist = t.length_histogram();
-  EXPECT_EQ(hist[8], 2u);
-  EXPECT_EQ(hist[16], 1u);
   EXPECT_EQ(t.max_prefix_length(), 16u);
 }
 
@@ -222,7 +182,8 @@ TEST(TableGenTest, LengthsWithinConfiguredRange) {
 
 TEST(TableGenTest, DistributionPeaksAtSlash24) {
   const SyntheticTableGenerator gen(TableProfile::edge_default());
-  const auto hist = gen.generate(5).length_histogram();
+  std::vector<std::size_t> hist(33, 0);
+  for (const Route& r : gen.generate(5).routes()) ++hist[r.prefix.length()];
   const auto peak = std::max_element(hist.begin(), hist.end());
   EXPECT_EQ(peak - hist.begin(), 24);
 }
@@ -308,12 +269,20 @@ TEST_F(TrafficTest, LoadControlsVolume) {
   EXPECT_NEAR(static_cast<double>(trace.size()) / 20000.0, 0.25, 0.02);
 }
 
+// Share of a trace's packets per VN.
+std::vector<double> measured_shares(const std::vector<TimedPacket>& trace,
+                                    std::size_t vn_count) {
+  std::vector<double> shares(vn_count, 0.0);
+  for (const TimedPacket& tp : trace) shares[tp.packet.vnid] += 1.0;
+  for (double& s : shares) s /= static_cast<double>(trace.size());
+  return shares;
+}
+
 TEST_F(TrafficTest, UniformSharesByDefault) {
   TrafficConfig config;
   config.cycles = 30000;
   const TrafficGenerator gen(config, ptrs_);
-  const auto shares =
-      TrafficGenerator::measured_shares(gen.generate(3), 3);
+  const auto shares = measured_shares(gen.generate(3), 3);
   for (const double share : shares) EXPECT_NEAR(share, 1.0 / 3.0, 0.02);
 }
 
@@ -322,8 +291,7 @@ TEST_F(TrafficTest, WeightedShares) {
   config.cycles = 30000;
   config.vn_weights = {1.0, 1.0, 2.0};
   const TrafficGenerator gen(config, ptrs_);
-  const auto shares =
-      TrafficGenerator::measured_shares(gen.generate(4), 3);
+  const auto shares = measured_shares(gen.generate(4), 3);
   EXPECT_NEAR(shares[2], 0.5, 0.02);
 }
 

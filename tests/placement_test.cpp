@@ -96,11 +96,10 @@ TEST(RequestStreamTest, FieldsStayInConfiguredRanges) {
     EXPECT_EQ(r.id, i);
     EXPECT_EQ(r.arrival_tick, i);  // one arrival per tick
     EXPECT_GE(r.mu_q, 1u);
-    EXPECT_LE(r.mu_q, config.mu_levels);
+    EXPECT_LE(r.mu_q, kMuLevels);
     EXPECT_GE(r.prefix_count, 1u);
     // Largest class draws around base * 2^(classes-1), plus jitter < base.
-    EXPECT_LT(r.prefix_count,
-              config.base_prefix_count * (std::size_t{1} << 4));
+    EXPECT_LT(r.prefix_count, kBasePrefixCount * (std::size_t{1} << 4));
     ASSERT_NE(r.departure_tick, 0u);  // holding configured, so VNs leave
     EXPECT_GT(r.departure_tick, r.arrival_tick);
     EXPECT_LE(r.departure_tick,
@@ -128,15 +127,15 @@ TEST(RequestStreamTest, SlaMixTracksConfiguredFractions) {
   }
   const double gold_frac = static_cast<double>(gold) / n;
   const double silver_frac = static_cast<double>(silver) / n;
-  EXPECT_NEAR(gold_frac, config.gold_fraction, 0.02);
-  EXPECT_NEAR(silver_frac, config.silver_fraction, 0.03);
+  EXPECT_NEAR(gold_frac, kGoldFraction, 0.02);
+  EXPECT_NEAR(silver_frac, kSilverFraction, 0.03);
 }
 
 // ---------------------------------------------------------------- oracle --
 
 TEST(OracleTest, BucketForCoversAndClampsTheSizeAxis) {
   CostOracle& oracle = shared_oracle();
-  const auto& buckets = oracle.config().bucket_prefix_counts;
+  const auto& buckets = kBucketPrefixCounts;
   ASSERT_EQ(buckets.size(), 4u);
   EXPECT_EQ(oracle.bucket_for(1), 0u);
   EXPECT_EQ(oracle.bucket_for(buckets[0]), 0u);
@@ -173,7 +172,7 @@ TEST(OracleTest, FeasibilityEnforcesStructuralRules) {
   // Dedicated means exactly one VN.
   EXPECT_FALSE(oracle.feasible(shape_of(DeviceMode::kDedicated, 2, 0, 8)));
   // Co-location cap.
-  const std::uint32_t cap = oracle.config().max_vns_per_device;
+  const std::uint32_t cap = kMaxVnsPerDevice;
   EXPECT_FALSE(
       oracle.feasible(shape_of(DeviceMode::kTimeShared, cap + 1, 0, 8)));
   // A time-shared engine saturates at aggregate load 1.

@@ -259,10 +259,13 @@ TEST(EfficiencyTest, SchemeEfficiencyUsesAggregateThroughput) {
   PowerBreakdown p;
   p.static_w = units::Watts{4.5};
   p.freq_mhz = units::Megahertz{400.0};
-  const double vs =
-      scheme_efficiency_mw_per_gbps(Scheme::kSeparate, 8, p).value();
-  const double vm =
-      scheme_efficiency_mw_per_gbps(Scheme::kMerged, 8, p).value();
+  const auto efficiency = [&p](Scheme scheme) {
+    return mw_per_gbps(p.total_w(),
+                       aggregate_throughput_gbps(scheme, 8, p.freq_mhz))
+        .value();
+  };
+  const double vs = efficiency(Scheme::kSeparate);
+  const double vm = efficiency(Scheme::kMerged);
   EXPECT_NEAR(vm / vs, 8.0, 1e-9);  // VM divides by a single engine's rate
 }
 

@@ -66,8 +66,6 @@ TEST(MergedTrieTest, IdenticalInputsFullyShare) {
   const MergedTrie merged = merge(tries);
   EXPECT_EQ(merged.node_count(), tries[0].node_count());
   EXPECT_DOUBLE_EQ(merged.stats().alpha_effective(3), 1.0);
-  EXPECT_DOUBLE_EQ(merged.stats().alpha_structural(), 1.0);
-  EXPECT_EQ(merged.stats().shared_all, merged.node_count());
 }
 
 TEST(MergedTrieTest, DisjointInputsShareOnlyTopPaths) {
@@ -79,7 +77,6 @@ TEST(MergedTrieTest, DisjointInputsShareOnlyTopPaths) {
   const MergedTrie merged = merge(tries);
   // root shared; two disjoint 2-node paths.
   EXPECT_EQ(merged.node_count(), 5u);
-  EXPECT_EQ(merged.stats().shared_any, 1u);  // only the root
   EXPECT_NEAR(merged.stats().alpha_effective(2), 0.2, 1e-12);
 }
 
@@ -225,21 +222,22 @@ TEST(OverlapModelTest, MergedNodeCountMonotoneInAlpha) {
 TEST(OverlapModelTest, AlphaFromCountsInvertsForward) {
   for (const double alpha : {0.0, 0.2, 0.5, 0.8, 1.0}) {
     const double t = merged_node_count(6, 500.0, alpha);
-    EXPECT_NEAR(alpha_from_counts(6, 6 * 500.0, t), alpha, 1e-12);
+    EXPECT_NEAR(trie::alpha_from_counts(6, 6 * 500.0, t), alpha, 1e-12);
   }
 }
 
 TEST(OverlapModelTest, AlphaFromCountsClamps) {
-  EXPECT_DOUBLE_EQ(alpha_from_counts(4, 100.0, 1000.0), 0.0);
-  EXPECT_DOUBLE_EQ(alpha_from_counts(4, 1000.0, 100.0), 1.0);
-  EXPECT_DOUBLE_EQ(alpha_from_counts(1, 100.0, 100.0), 1.0);
+  EXPECT_DOUBLE_EQ(trie::alpha_from_counts(4, 100.0, 1000.0), 0.0);
+  EXPECT_DOUBLE_EQ(trie::alpha_from_counts(4, 1000.0, 100.0), 1.0);
+  EXPECT_DOUBLE_EQ(trie::alpha_from_counts(1, 100.0, 100.0), 1.0);
+  EXPECT_DOUBLE_EQ(trie::alpha_from_counts(4, 100.0, 0.0), 0.0);
 }
 
 TEST(OverlapModelTest, MeasuredEffectiveAlphaAgreesWithFormula) {
   const auto tables = sample_tables(3, 300, 9);
   const auto tries = build_tries(tables, false);
   const MergedTrie merged = merge(tries);
-  const double expected = alpha_from_counts(
+  const double expected = trie::alpha_from_counts(
       3, static_cast<double>(merged.stats().sum_input_nodes),
       static_cast<double>(merged.node_count()));
   EXPECT_NEAR(merged.stats().alpha_effective(3), expected, 1e-12);
@@ -258,6 +256,11 @@ class PredictMergedMemory : public ::testing::Test {
         trie::MappingPolicy::kOneLevelPerStage);
   }
 
+  /// Stage memory of the representative trie alone.
+  [[nodiscard]] trie::StageMemory single_trie_memory() const {
+    return trie::stage_memory(trie::occupancy(stats_, *mapping_), enc_, 1);
+  }
+
   std::unique_ptr<UnibitTrie> trie_;
   trie::TrieStats stats_;
   std::unique_ptr<trie::StageMapping> mapping_;
@@ -267,8 +270,7 @@ class PredictMergedMemory : public ::testing::Test {
 TEST_F(PredictMergedMemory, KOneEqualsSingleTrie) {
   const trie::StageMemory merged =
       predict_merged_stage_memory(stats_, *mapping_, enc_, 1, 1.0);
-  const trie::StageMemory single =
-      predict_separate_stage_memory(stats_, *mapping_, enc_);
+  const trie::StageMemory single = single_trie_memory();
   EXPECT_EQ(merged.total_pointer_bits(), single.total_pointer_bits());
   EXPECT_EQ(merged.total_nhi_bits(), single.total_nhi_bits());
 }
@@ -286,7 +288,7 @@ TEST_F(PredictMergedMemory, FullOverlapBeatsSeparateOnPointers) {
   // α=1: merged pointer memory equals ONE table's; separate pays K×.
   const auto merged =
       predict_merged_stage_memory(stats_, *mapping_, enc_, 8, 1.0);
-  const auto single = predict_separate_stage_memory(stats_, *mapping_, enc_);
+  const auto single = single_trie_memory();
   EXPECT_EQ(merged.total_pointer_bits(), single.total_pointer_bits());
   // NHI memory still grows (vector leaves) — Fig. 4 right.
   EXPECT_EQ(merged.total_nhi_bits(), 8 * single.total_nhi_bits());
