@@ -373,10 +373,18 @@ CycleResult run_cycle_router(pipeline::VirtualRouter& lookup,
                      return a.cycle < b.cycle;
                    });
   CycleRouter router(lookup, config);
-  // Generous progress bound: a drained run never comes close, so hitting
-  // it means the model deadlocked — abort loudly instead of hanging.
+  // Generous progress bound: hitting it means the model deadlocked —
+  // abort loudly instead of hanging. A frame's bytes cross a VC buffer,
+  // the switch and an egress link; the slowest of the three paces them.
+  const std::size_t flits_per_cycle =
+      std::min({kIngressFlitsPerCycle, config.vc_capacity_flits,
+                config.switch_flits_per_cycle});
+  const double bytes_per_cycle =
+      std::min(config.scheduler.bytes_per_cycle,
+               static_cast<double>(config.flit_bytes * flits_per_cycle));
   const std::uint64_t last_arrival = frames.empty() ? 0 : frames.back().cycle;
-  const std::uint64_t deadline = last_arrival + 10000 + 200 * frames.size();
+  const std::uint64_t deadline =
+      last_arrival + drain_bound_cycles(frames, bytes_per_cycle);
   std::size_t next_frame = 0;
   while (next_frame < frames.size() || !router.drained()) {
     while (next_frame < frames.size() &&

@@ -81,4 +81,15 @@ std::vector<IngressFrame> FrameGenerator::generate(std::uint64_t seed) const {
   return frames;
 }
 
+std::uint64_t drain_bound_cycles(const std::vector<IngressFrame>& frames,
+                                 double bytes_per_cycle) {
+  std::uint64_t bytes = 0;
+  for (const IngressFrame& frame : frames) {
+    bytes += net::Ipv4Header::kSize + frame.payload_bytes;
+  }
+  return 10000 + 200 * frames.size() +
+         static_cast<std::uint64_t>(static_cast<double>(bytes) /
+                                    bytes_per_cycle);
+}
+
 }  // namespace vr::dataplane

@@ -26,6 +26,13 @@ struct IngressFrame {
 inline constexpr std::uint16_t kMaxPayloadBytes = 0xffff -
                                                   net::Ipv4Header::kSize;
 
+/// Progress bound of a driver run: cycles after the last arrival by which
+/// `frames` must have drained. 10,000 plus 200 per frame plus every
+/// frame's serialization time at `bytes_per_cycle`; a drained run never
+/// comes close, so reaching it means the data plane deadlocked.
+[[nodiscard]] std::uint64_t drain_bound_cycles(
+    const std::vector<IngressFrame>& frames, double bytes_per_cycle);
+
 struct FrameGenConfig {
   net::TrafficConfig traffic;
   /// Probability of a corrupted checksum (parser must drop).

@@ -133,9 +133,12 @@ FullRouterResult run_full_router(pipeline::VirtualRouter& lookup,
   //    dropped or not, and until every egress queue has drained.
   const std::uint64_t end =
       frames.empty() ? 0 : std::max(lookups.cycles, frames.back().cycle + 1);
+  const std::uint64_t deadline =
+      end + drain_bound_cycles(frames, config.scheduler.bytes_per_cycle);
   std::size_t next = 0;
   std::uint64_t cycle = 0;
   for (; cycle < end || !scheduler.empty(); ++cycle) {
+    VR_REQUIRE(cycle < deadline, "full router failed to drain (deadlock?)");
     for (; next < lookups.results.size() &&
            lookups.results[next].exit_cycle == start + cycle + 1;
          ++next) {

@@ -79,8 +79,9 @@ bool DrrScheduler::enqueue(const ForwardedPacket& packet,
 void DrrScheduler::tick(std::uint64_t cycle, std::vector<EgressRecord>* out) {
   VR_REQUIRE(out != nullptr, "tick needs an output sink");
   // Cap the idle credit so a long-idle port cannot burst unboundedly —
-  // but never below one MTU, or a large packet could starve forever on
-  // a slow link.
+  // but never below one MTU. While a packet waits at the DRR cursor the
+  // cap grows to its size, so the cap limits only an idle port's burst
+  // and a packet of any size leaves once the link has carried it.
   constexpr double kMtuBytes = 1600.0;
   const double credit_cap =
       std::max(kMtuBytes, 4.0 * config_.bytes_per_cycle);
@@ -94,7 +95,12 @@ void DrrScheduler::tick(std::uint64_t cycle, std::vector<EgressRecord>* out) {
     PortState& port = ports_[port_index];
     port.byte_credit += config_.bytes_per_cycle;
     if (port.queued != 0) serve(port, port_index, cycle, out);
-    port.byte_credit = std::min(port.byte_credit, credit_cap);
+    const auto& head = port.queues[port.round_robin_cursor];
+    const double cap =
+        head.empty() ? credit_cap
+                     : std::max(credit_cap,
+                                static_cast<double>(head.front().bytes));
+    port.byte_credit = std::min(port.byte_credit, cap);
     if (port.queued != 0 || port.byte_credit < credit_cap) {
       active_ports_[still_active++] = port_index;
     }

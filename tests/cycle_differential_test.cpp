@@ -10,6 +10,7 @@
 // modeling choice.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -41,11 +42,14 @@ struct LookupFixture {
   std::unique_ptr<pipeline::VirtualRouter> router;
 };
 
+/// `next_hops` bounds the tables' next hops, which name egress ports.
 std::unique_ptr<LookupFixture> make_lookup(std::size_t k, bool separate,
-                                           std::uint64_t table_seed) {
+                                           std::uint64_t table_seed,
+                                           net::NextHop next_hops = 16) {
   auto f = std::make_unique<LookupFixture>();
   net::TableProfile profile;
   profile.prefix_count = 150;
+  profile.next_hop_count = next_hops;
   const net::SyntheticTableGenerator table_gen(profile);
   for (std::uint64_t v = 0; v < k; ++v) {
     f->tables.push_back(table_gen.generate(table_seed + v));
@@ -245,6 +249,106 @@ TEST(CycleDifferential, SameCycleFramesKeepTheCallersOrder) {
   const CycleResult cycle =
       run_cycle_router(*cycle_lookup->router, frames, config);
   EXPECT_EQ(egress_bytes(cycle.egress), sent_bytes);
+}
+
+// Seeded adversarial egress streams. Payloads are drawn over the whole
+// [0, kMaxPayloadBytes] range and always include 1,620 and 1,621 bytes,
+// on either side of the largest packet a port could send before its
+// credit cap followed the waiting packet (1,640 bytes at the default
+// 40 B/cycle). K, VC policy, port count, DRR weights, flit size and VC
+// depth are random, and every other trial draws its link rate too;
+// queues are deep enough that neither driver tail-drops. Every enqueued
+// packet must leave, and the two drivers must agree on every parser,
+// editor and scheduler count.
+TEST(CycleDifferential, PacketsOfAnySizeLeaveThroughBothDrivers) {
+  constexpr std::size_t kTrials = 40;
+  constexpr std::size_t kFramesPerTrial = 24;
+  Rng rng(2026);
+  std::uint64_t above_old_cap_sent = 0;
+  for (std::size_t trial = 0; trial < kTrials; ++trial) {
+    const std::size_t k = rng.next_in(1, 4);
+    const VcPolicy policy = kAllPolicies[rng.next_below(4)];
+    const bool separate = separate_engines(policy);
+    SchedulerConfig scheduler = roomy_scheduler(k);
+    scheduler.port_count = rng.next_in(1, 16);
+    if (trial % 2 == 1) {
+      scheduler.bytes_per_cycle =
+          static_cast<double>(rng.next_in(32, 4000)) / 4;
+    }
+    for (std::size_t v = 0; v < k; ++v) {
+      scheduler.vn_weights.push_back(0.25 + 3.75 * rng.next_double());
+    }
+    SCOPED_TRACE(::testing::Message()
+                 << "trial=" << trial << " K=" << k
+                 << " policy=" << to_string(policy)
+                 << " ports=" << scheduler.port_count
+                 << " bytes/cycle=" << scheduler.bytes_per_cycle);
+    // narrow-ok in test: port_count <= 16
+    const auto next_hops = static_cast<net::NextHop>(scheduler.port_count);
+    const auto oracle_lookup = make_lookup(k, separate, 700 + trial, next_hops);
+    const auto cycle_lookup = make_lookup(k, separate, 700 + trial, next_hops);
+
+    std::vector<IngressFrame> frames(kFramesPerTrial);
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      IngressFrame& frame = frames[i];
+      frame.cycle = rng.next_below(400);
+      // narrow-ok in test: next_below(k) < k <= 4
+      frame.vnid = static_cast<net::VnId>(rng.next_below(k));
+      // narrow-ok in test: at most kMaxPayloadBytes
+      frame.payload_bytes = static_cast<std::uint16_t>(
+          i < 2 ? 1620 + i : rng.next_in(0, kMaxPayloadBytes));
+      const auto routes = oracle_lookup->tables[frame.vnid].routes();
+      frame.header.destination =
+          routes[rng.next_below(routes.size())].prefix.address();
+      // narrow-ok in test: at most 20 + kMaxPayloadBytes = 65,535
+      frame.header.total_length = static_cast<std::uint16_t>(
+          net::Ipv4Header::kSize + frame.payload_bytes);
+      frame.header.ttl = 64;
+      frame.header.checksum = frame.header.compute_checksum();
+    }
+
+    CycleConfig config;
+    config.vc.policy = policy;
+    config.vc.vc_count = 4 * k;
+    config.vc.vn_count = k;
+    config.vc_capacity_flits = rng.next_in(1, 8);
+    // narrow-ok in test: one of 64, 256 and 1,024
+    config.flit_bytes = static_cast<std::uint32_t>(64 << 2 * rng.next_below(3));
+    config.scheduler = scheduler;
+    const CycleResult cycle =
+        run_cycle_router(*cycle_lookup->router, frames, config);
+    FullRouterConfig oracle_config;
+    oracle_config.scheduler = scheduler;
+    const FullRouterResult oracle =
+        run_full_router(*oracle_lookup->router, frames, oracle_config);
+
+    for (const SchedulerStats& stats : {oracle.scheduler, cycle.scheduler}) {
+      EXPECT_EQ(stats.tail_drops, 0u);
+      EXPECT_EQ(stats.transmitted, stats.enqueued);
+    }
+    EXPECT_EQ(cycle.parser.accepted, oracle.parser.accepted);
+    EXPECT_EQ(cycle.parser.malformed, oracle.parser.malformed);
+    EXPECT_EQ(cycle.parser.bad_checksum, oracle.parser.bad_checksum);
+    EXPECT_EQ(cycle.parser.ttl_expired, oracle.parser.ttl_expired);
+    EXPECT_EQ(cycle.parser.bad_vnid, oracle.parser.bad_vnid);
+    EXPECT_EQ(cycle.editor.forwarded, oracle.editor.forwarded);
+    EXPECT_EQ(cycle.editor.no_route, oracle.editor.no_route);
+    EXPECT_EQ(cycle.editor.ttl_expired, oracle.editor.ttl_expired);
+    EXPECT_EQ(cycle.scheduler.enqueued, oracle.scheduler.enqueued);
+    EXPECT_EQ(cycle.scheduler.transmitted, oracle.scheduler.transmitted);
+    EXPECT_EQ(cycle.scheduler.bytes_per_vn, oracle.scheduler.bytes_per_vn);
+    // A credit cap that ignored the waiting packet, max(1,600 B, 4 cycles
+    // of link rate), would hold back every packet longer than the cap
+    // plus one cycle's credit.
+    const double old_limit =
+        std::max(1600.0, 4 * scheduler.bytes_per_cycle) +
+        scheduler.bytes_per_cycle;
+    for (const EgressRecord& record : oracle.egress) {
+      if (record.bytes > old_limit) ++above_old_cap_sent;
+    }
+  }
+  // Most drawn payloads are far above that limit.
+  EXPECT_GT(above_old_cap_sent, kTrials * kFramesPerTrial / 2);
 }
 
 }  // namespace
