@@ -375,12 +375,12 @@ CycleResult run_cycle_router(pipeline::VirtualRouter& lookup,
   CycleRouter router(lookup, config);
   // Generous progress bound: hitting it means the model deadlocked —
   // abort loudly instead of hanging. A frame's bytes cross a VC buffer,
-  // the switch and an egress link; the slowest of the three paces them.
+  // the switch and the egress DRR; the slowest of the three paces them.
   const std::size_t flits_per_cycle =
       std::min({kIngressFlitsPerCycle, config.vc_capacity_flits,
                 config.switch_flits_per_cycle});
   const double bytes_per_cycle =
-      std::min(config.scheduler.bytes_per_cycle,
+      std::min(min_service_bytes_per_cycle(config.scheduler),
                static_cast<double>(config.flit_bytes * flits_per_cycle));
   const std::uint64_t last_arrival = frames.empty() ? 0 : frames.back().cycle;
   const std::uint64_t deadline =

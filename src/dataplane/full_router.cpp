@@ -134,7 +134,8 @@ FullRouterResult run_full_router(pipeline::VirtualRouter& lookup,
   const std::uint64_t end =
       frames.empty() ? 0 : std::max(lookups.cycles, frames.back().cycle + 1);
   const std::uint64_t deadline =
-      end + drain_bound_cycles(frames, config.scheduler.bytes_per_cycle);
+      end + drain_bound_cycles(frames,
+                               min_service_bytes_per_cycle(config.scheduler));
   std::size_t next = 0;
   std::uint64_t cycle = 0;
   for (; cycle < end || !scheduler.empty(); ++cycle) {

@@ -40,6 +40,15 @@ DrrScheduler::DrrScheduler(SchedulerConfig config)
   stats_.arbiter_grants_per_vn.assign(config_.vn_count, 0);
 }
 
+double min_service_bytes_per_cycle(const SchedulerConfig& config) {
+  const double weight =
+      config.vn_weights.empty()
+          ? 1.0
+          : *std::min_element(config.vn_weights.begin(),
+                              config.vn_weights.end());
+  return std::min(config.bytes_per_cycle, kBaseQuantumBytes * weight);
+}
+
 double DrrScheduler::quantum_for(net::VnId vn) const {
   const double weight =
       config_.vn_weights.empty() ? 1.0 : config_.vn_weights[vn];

@@ -30,6 +30,11 @@ struct SchedulerConfig {
   double bytes_per_cycle = 40.0;
 };
 
+/// Slowest rate, bytes per cycle, at which a port serves a backlogged VN:
+/// the link rate, or the smallest weighted DRR quantum when that is lower
+/// (a queue earns at most one quantum per cycle).
+[[nodiscard]] double min_service_bytes_per_cycle(const SchedulerConfig& config);
+
 /// One transmitted packet.
 struct EgressRecord {
   std::uint64_t cycle = 0;

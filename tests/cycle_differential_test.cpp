@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -275,8 +276,11 @@ TEST(CycleDifferential, PacketsOfAnySizeLeaveThroughBothDrivers) {
       scheduler.bytes_per_cycle =
           static_cast<double>(rng.next_in(32, 4000)) / 4;
     }
+    // Log-uniform over [1/256, 4]: a small weight's quantum, not the
+    // link, can pace a VN's packets.
     for (std::size_t v = 0; v < k; ++v) {
-      scheduler.vn_weights.push_back(0.25 + 3.75 * rng.next_double());
+      scheduler.vn_weights.push_back(
+          std::exp2(-8.0 + 10.0 * rng.next_double()));
     }
     SCOPED_TRACE(::testing::Message()
                  << "trial=" << trial << " K=" << k
