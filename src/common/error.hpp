@@ -18,8 +18,8 @@ class Error : public std::runtime_error {
   explicit Error(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Thrown when user-supplied input (a routing-table file, a scenario
-/// description, ...) is malformed.
+/// Thrown when user-supplied input (a table profile, a scenario
+/// description, ...) is malformed or infeasible.
 class InvalidArgumentError : public Error {
  public:
   explicit InvalidArgumentError(const std::string& what) : Error(what) {}

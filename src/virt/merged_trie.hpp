@@ -23,10 +23,8 @@ struct MergeStats {
   std::size_t merged_nodes = 0;
   std::size_t sum_input_nodes = 0;   ///< Σ_k n_k over the K input tries
 
-  /// Effective merging efficiency: the α that makes the analytical merged
-  /// node-count formula T = Σn / (1 + (K-1)α) · K/K (DESIGN.md Sec. 3)
-  /// reproduce the measured merged node count exactly. For K == 1 this is
-  /// defined as 1.
+  /// Effective merging efficiency of this merge of `vn_count` tries
+  /// (trie::alpha_from_counts; 1 for K == 1).
   [[nodiscard]] double alpha_effective(std::size_t vn_count) const noexcept {
     return trie::alpha_from_counts(vn_count,
                                    static_cast<double>(sum_input_nodes),

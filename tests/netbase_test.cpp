@@ -182,8 +182,9 @@ TEST(TableGenTest, LengthsWithinConfiguredRange) {
 
 TEST(TableGenTest, DistributionPeaksAtSlash24) {
   const SyntheticTableGenerator gen(TableProfile::edge_default());
+  const RoutingTable table = gen.generate(5);
   std::vector<std::size_t> hist(33, 0);
-  for (const Route& r : gen.generate(5).routes()) ++hist[r.prefix.length()];
+  for (const Route& r : table.routes()) ++hist[r.prefix.length()];
   const auto peak = std::max_element(hist.begin(), hist.end());
   EXPECT_EQ(peak - hist.begin(), 24);
 }
