@@ -26,7 +26,7 @@ struct IngressFrame {
 inline constexpr std::uint16_t kMaxPayloadBytes = 0xffff -
                                                   net::Ipv4Header::kSize;
 
-/// Progress bound of a driver run: cycles after the last arrival by which
+/// Progress bound of a data-plane run: cycles after the last arrival by which
 /// `frames` must have drained. 10,000 plus 200 per frame plus every
 /// frame's serialization time at `bytes_per_cycle`; a drained run never
 /// comes close, so reaching it means the data plane deadlocked.

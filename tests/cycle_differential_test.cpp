@@ -258,10 +258,10 @@ TEST(CycleDifferential, SameCycleFramesKeepTheCallersOrder) {
 // credit cap followed the waiting packet (1,640 bytes at the default
 // 40 B/cycle). K, VC policy, port count, DRR weights, flit size and VC
 // depth are random, and every other trial draws its link rate too;
-// queues are deep enough that neither driver tail-drops. Every enqueued
-// packet must leave, and the two drivers must agree on every parser,
+// queues are deep enough that neither router tail-drops. Every enqueued
+// packet must leave, and the two routers must agree on every parser,
 // editor and scheduler count.
-TEST(CycleDifferential, PacketsOfAnySizeLeaveThroughBothDrivers) {
+TEST(CycleDifferential, PacketsOfAnySizeLeaveThroughBothRouters) {
   constexpr std::size_t kTrials = 40;
   constexpr std::size_t kFramesPerTrial = 24;
   Rng rng(2026);
